@@ -112,7 +112,7 @@ fuzz-smoke:
 	$(GO) test -run FuzzParseResponseHead -fuzz FuzzParseResponseHead -fuzztime 5s ./internal/httpd/
 	$(GO) test -run FuzzVecModel -fuzz FuzzVecModel -fuzztime 5s ./internal/iovec/
 	$(GO) test -run FuzzVecSliceBounds -fuzz FuzzVecSliceBounds -fuzztime 5s ./internal/iovec/
-	$(GO) test -run FuzzVectorWriterEquivalence -fuzz FuzzVectorWriterEquivalence -fuzztime 5s ./internal/httpd/
+	$(GO) test -run FuzzServeTranscript -fuzz FuzzServeTranscript -fuzztime 5s ./internal/httpd/
 	$(GO) test -run FuzzBufpoolRoundtrip -fuzz FuzzBufpoolRoundtrip -fuzztime 5s ./internal/bufpool/
 	$(GO) test -run FuzzSackRanges -fuzz FuzzSackRanges -fuzztime 5s ./internal/tcp/
 	$(GO) test -run FuzzSegmentRoundtrip -fuzz FuzzSegmentRoundtrip -fuzztime 5s ./internal/tcp/

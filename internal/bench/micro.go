@@ -26,12 +26,12 @@ import (
 // figures' 16 KB file.
 const MicroFileBytes = 16 * 1024
 
-// scriptedTransport is an httpd.Transport whose reads replay the same
-// request head n times and whose writes are discarded after accounting.
-// It isolates the server's per-request serve path (head parse, cache
-// lookup, response assembly) from any socket machinery.
+// scriptedTransport is an httpd.Transport whose reads replay its request
+// heads in turn, n in all, and whose writes are discarded after
+// accounting. It isolates the server's per-request serve path (head
+// parse, cache lookup, response assembly) from any socket machinery.
 type scriptedTransport struct {
-	req    []byte
+	reqs   [][]byte
 	n      int
 	wrote  uint64
 	closed bool
@@ -43,14 +43,17 @@ func (s *scriptedTransport) Read(p []byte) core.M[int] {
 			return 0
 		}
 		s.n--
-		return copy(p, s.req)
+		return copy(p, s.reqs[s.n%len(s.reqs)])
 	})
 }
 
-func (s *scriptedTransport) Write(p []byte) core.M[int] {
+// Write applies once per connection and re-forces per write, reading
+// whatever *cell holds at force time, the way socket transports do.
+func (s *scriptedTransport) Write(cell *[]byte) core.M[int] {
 	return core.NBIO(func() int {
-		s.wrote += uint64(len(p))
-		return len(p)
+		n := len(*cell)
+		s.wrote += uint64(n)
+		return n
 	})
 }
 
@@ -58,17 +61,7 @@ func (s *scriptedTransport) Close() core.M[core.Unit] {
 	return core.Do(func() { s.closed = true })
 }
 
-// WriteCell makes scriptedTransport an httpd.CellWriter so BenchServeCached
-// exercises the server's flattened fast path the way socket transports do:
-// the M is applied once per connection and its trace re-forced per response,
-// reading whatever *cell holds at force time.
-func (s *scriptedTransport) WriteCell(cell *[]byte) core.M[int] {
-	return core.NBIO(func() int {
-		p := *cell
-		s.wrote += uint64(len(p))
-		return len(p)
-	})
-}
+func (s *scriptedTransport) Shed() { s.closed = true }
 
 // BenchServeCached measures the cached-serve path end to end: one
 // persistent connection issuing b.N keep-alive GETs that all hit the
@@ -76,6 +69,14 @@ func (s *scriptedTransport) WriteCell(cell *[]byte) core.M[int] {
 // write — the path Figure 19's mostly-cached workload spends its time
 // on.
 func BenchServeCached(b *testing.B) {
+	benchServe(b, httpd.ServerConfig{CacheBytes: 1 << 20}, 1)
+}
+
+// benchServe serves b.N keep-alive GETs on one connection, cycling over
+// files MicroFileBytes long. With files = 1 the file is cached up front,
+// so every request hits; with more files than cfg.CacheBytes holds,
+// every request misses and streams its file from disk.
+func benchServe(b *testing.B, cfg httpd.ServerConfig, files int) {
 	clk := vclock.NewVirtual()
 	k := kernel.New(clk)
 	fs := kernel.NewFS(disk.New(clk, disk.BenchGeometry()))
@@ -83,21 +84,35 @@ func BenchServeCached(b *testing.B) {
 	defer rt.Shutdown()
 	io := hio.New(rt, k, fs)
 	defer io.Close()
-	srv := httpd.NewServer(io, httpd.ServerConfig{CacheBytes: 1 << 20})
+	srv := httpd.NewServer(io, cfg)
 
-	payload := make([]byte, MicroFileBytes)
-	for i := range payload {
-		payload[i] = byte(i)
+	reqs := make([][]byte, files)
+	for i := range reqs {
+		name := fmt.Sprintf("file-%d", i)
+		if _, err := fs.Create(name, MicroFileBytes, false); err != nil {
+			b.Fatal(err)
+		}
+		reqs[i] = []byte("GET /" + name + " HTTP/1.1\r\nHost: bench\r\nConnection: keep-alive\r\n\r\n")
 	}
-	srv.Cache().Put("file-0", payload)
-	req := []byte("GET /file-0 HTTP/1.1\r\nHost: bench\r\nConnection: keep-alive\r\n\r\n")
+	if files == 1 {
+		payload := make([]byte, MicroFileBytes)
+		for i := range payload {
+			payload[i] = byte(i)
+		}
+		srv.Cache().Put("file-0", payload)
+	}
 
 	b.SetBytes(MicroFileBytes)
 	b.ReportAllocs()
 	b.ResetTimer()
-	t := &scriptedTransport{req: req, n: b.N}
+	t := &scriptedTransport{reqs: reqs, n: b.N}
 	done := make(chan struct{})
+	// Hold the clock while the connection starts: a lifecycle server arms
+	// its idle deadline there, and time must not pass before the thread
+	// runs.
+	clk.Enter()
 	rt.Spawn(core.Then(srv.ServeTransport(t), core.Do(func() { close(done) })))
+	clk.Exit()
 	<-done
 	b.StopTimer()
 	want := uint64(b.N) * uint64(MicroFileBytes)

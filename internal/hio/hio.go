@@ -221,37 +221,34 @@ func (io *IO) SockRead(fd kernel.FD, p []byte) core.M[int] {
 }
 
 // SockReadFull reads exactly len(p) bytes unless the stream ends first;
-// it returns the number read.
+// it returns the number read. It is a one-shot SockReadFullCell.
 func (io *IO) SockReadFull(fd kernel.FD, p []byte) core.M[int] {
-	var step func(got int) core.M[int]
-	step = func(got int) core.M[int] {
-		if got >= len(p) {
-			return core.Return(got)
-		}
-		return core.Bind(io.SockRead(fd, p[got:]), func(n int) core.M[int] {
-			if n == 0 {
-				return core.Return(got) // EOF
-			}
-			return step(got + n)
-		})
+	if len(p) == 0 {
+		return core.Return(0)
 	}
-	return step(0)
+	return io.readFullCell(fd, nil, p)
 }
 
 // SockReadFullCell returns a computation that, each time its trace is
 // forced, reads exactly len(*cell) bytes into *cell (fewer at end of
-// stream) — the defunctionalized sibling of SockReadFull for flattened
-// callers that build the M once and re-force its trace per message (the
-// fig18 FIFO pump). Like SockSendCell, the retry loop lives in a
-// per-application state struct with one embedded NBIONode and one
-// pre-applied EpollWait park trace, so steady-state receives allocate no
-// nodes; the node sequence matches SockReadFull's. The count delivered
-// is the total bytes read.
+// stream) and delivers the total read. Flattened callers (the fig18 FIFO
+// pump) build the M once and re-force its trace per message, so
+// steady-state receives allocate no nodes: the retry loop lives in one
+// state struct with an embedded NBIONode. The node sequence is one NBIO
+// attempt per partial transfer and a park plus a retry attempt per
+// EAGAIN.
 func (io *IO) SockReadFullCell(fd kernel.FD, cell *[]byte) core.M[int] {
+	return io.readFullCell(fd, cell, nil)
+}
+
+// readFullCell applies the read state machine; a nil cell reads into p.
+func (io *IO) readFullCell(fd kernel.FD, cell *[]byte, p []byte) core.M[int] {
 	return func(k func(int) core.Trace) core.Trace {
-		s := &readFullCellState{io: io, fd: fd, cell: cell, k: k}
+		s := &readFullCellState{io: io, fd: fd, cell: cell, one: p, k: k}
+		if cell == nil {
+			s.cell = &s.one
+		}
 		s.node.Effect = s.try
-		s.park = io.EpollWait(fd, kernel.EventRead)(s.retry)
 		return &s.node
 	}
 }
@@ -260,10 +257,11 @@ type readFullCellState struct {
 	io   *IO
 	fd   kernel.FD
 	cell *[]byte
+	one  []byte // a one-shot caller's buffer; cell points here
 	k    func(int) core.Trace
 	got  int
 	node core.NBIONode
-	park core.Trace // EpollWait(EventRead) resuming into node
+	park core.Trace // EpollWait(EventRead) resuming into node, built at first EAGAIN
 }
 
 func (s *readFullCellState) retry(kernel.Event) core.Trace { return &s.node }
@@ -273,6 +271,9 @@ func (s *readFullCellState) try() core.Trace {
 	n, err := s.io.k.Read(s.fd, p[s.got:])
 	if err != nil {
 		if errors.Is(err, kernel.ErrAgain) {
+			if s.park == nil {
+				s.park = s.io.EpollWait(s.fd, kernel.EventRead)(s.retry)
+			}
 			return s.park
 		}
 		if errors.Is(err, kernel.ErrIntr) {
@@ -291,52 +292,35 @@ func (s *readFullCellState) try() core.Trace {
 }
 
 // SockSend writes all of p, waiting for buffer space as needed (the
-// paper's sock_send).
+// paper's sock_send). It is a one-shot SockSendCell.
 func (io *IO) SockSend(fd kernel.FD, p []byte) core.M[int] {
-	total := len(p)
-	var try func(rest []byte) core.M[int]
-	try = func(rest []byte) core.M[int] {
-		if len(rest) == 0 {
-			return core.Return(total)
-		}
-		return core.Bind(
-			core.NBIO(func() result[int] {
-				n, err := io.k.Write(fd, rest)
-				return result[int]{val: n, err: err}
-			}),
-			func(r result[int]) core.M[int] {
-				if errors.Is(r.err, kernel.ErrAgain) {
-					return core.Then(io.EpollWait(fd, kernel.EventWrite), try(rest))
-				}
-				if errors.Is(r.err, kernel.ErrIntr) {
-					return try(rest) // interrupted before the transfer; retry now
-				}
-				if r.err != nil {
-					return core.Throw[int](r.err)
-				}
-				return try(rest[r.val:])
-			},
-		)
+	if len(p) == 0 {
+		return core.Return(0)
 	}
-	return try(p)
+	return io.sendCell(fd, nil, p)
 }
 
 // SockSendCell returns a computation that, each time its trace is
-// forced, writes all of the buffer *cell holds at that moment — the
-// defunctionalized sibling of SockSend for flattened state-machine
-// callers (the httpd serve loop) that build the M once per connection
-// and re-enter its trace once per response. The retry loop lives in a
-// per-application state struct with one embedded NBIONode and one
-// pre-applied EpollWait park trace, so steady-state sends allocate no
-// nodes; the emitted node sequence — one NBIO attempt per partial
-// transfer, a park plus a retry attempt per EAGAIN — is exactly
-// SockSend's. *cell must be non-empty at entry and must not be mutated
-// until the computation delivers its count (the total bytes written).
+// forced, writes all of the buffer *cell holds at that moment and
+// delivers the total written. It is the hybrid I/O layer's one send
+// retry loop: flattened callers (the httpd request machine) build the M
+// once per connection and re-enter its trace once per response, so
+// steady-state sends allocate no nodes. The node sequence is one NBIO
+// attempt per partial transfer and a park plus a retry attempt per
+// EAGAIN. *cell must be non-empty at entry and must not be mutated until
+// the count is delivered.
 func (io *IO) SockSendCell(fd kernel.FD, cell *[]byte) core.M[int] {
+	return io.sendCell(fd, cell, nil)
+}
+
+// sendCell applies the send state machine; a nil cell sends p.
+func (io *IO) sendCell(fd kernel.FD, cell *[]byte, p []byte) core.M[int] {
 	return func(k func(int) core.Trace) core.Trace {
-		s := &sendCellState{io: io, fd: fd, cell: cell, k: k}
+		s := &sendCellState{io: io, fd: fd, cell: cell, one: p, k: k}
+		if cell == nil {
+			s.cell = &s.one
+		}
 		s.node.Effect = s.try
-		s.park = io.EpollWait(fd, kernel.EventWrite)(s.retry)
 		return &s.node
 	}
 }
@@ -345,12 +329,13 @@ type sendCellState struct {
 	io     *IO
 	fd     kernel.FD
 	cell   *[]byte
+	one    []byte // a one-shot caller's buffer; cell points here
 	k      func(int) core.Trace
 	rest   []byte
 	total  int
 	active bool
 	node   core.NBIONode
-	park   core.Trace // EpollWait(EventWrite) resuming into node
+	park   core.Trace // EpollWait(EventWrite) resuming into node, built at first EAGAIN
 }
 
 func (s *sendCellState) retry(kernel.Event) core.Trace { return &s.node }
@@ -364,6 +349,9 @@ func (s *sendCellState) try() core.Trace {
 	n, err := s.io.k.Write(s.fd, s.rest)
 	if err != nil {
 		if errors.Is(err, kernel.ErrAgain) {
+			if s.park == nil {
+				s.park = s.io.EpollWait(s.fd, kernel.EventWrite)(s.retry)
+			}
 			return s.park
 		}
 		if errors.Is(err, kernel.ErrIntr) {

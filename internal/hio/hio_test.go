@@ -153,6 +153,44 @@ func TestAcceptConnectEcho(t *testing.T) {
 	}
 }
 
+// On a virtual clock epoll delivers by callback and never calls Wait;
+// the wait counter must still see the threads that parked for readiness.
+func TestVirtualSocketRoundTripCountsEpollWaits(t *testing.T) {
+	r := newRig(t, vclock.NewVirtual(), 1)
+	var echoed []byte
+	serve := func(lfd kernel.FD) core.M[core.Unit] {
+		return core.Bind(r.io.SockAccept(lfd), func(conn kernel.FD) core.M[core.Unit] {
+			buf := make([]byte, 4)
+			return core.Bind(r.io.SockReadFull(conn, buf), func(n int) core.M[core.Unit] {
+				return core.Then(r.io.SockSend(conn, buf[:n]), r.io.CloseFD(conn))
+			})
+		})
+	}
+	client := core.Bind(r.io.SockConnect("echo:1"), func(fd kernel.FD) core.M[core.Unit] {
+		buf := make([]byte, 4)
+		return core.Seq(
+			r.io.Sleep(time.Millisecond), // the server parks in accept, then in read
+			core.Then(r.io.SockSend(fd, []byte("ping")), core.Skip),
+			core.Bind(r.io.SockReadFull(fd, buf), func(n int) core.M[core.Unit] {
+				echoed = buf[:n]
+				return r.io.CloseFD(fd)
+			}),
+		)
+	})
+	r.rt.Run(core.Bind(r.io.Listen("echo:1", 4), func(lfd kernel.FD) core.M[core.Unit] {
+		return core.Seq(core.Fork(serve(lfd)), client)
+	}))
+	if string(echoed) != "ping" {
+		t.Fatalf("echoed %q", echoed)
+	}
+	if got := r.k.Snapshot().EpollWaits; got == 0 {
+		t.Fatal("epoll_waits = 0 after a round trip that parked for readiness")
+	}
+	if got := r.k.Metrics().Snapshot().Counter("epoll_waits"); got == 0 {
+		t.Fatal("exported epoll_waits metric reads 0")
+	}
+}
+
 func TestSockAcceptWaitsForConnection(t *testing.T) {
 	r := newRig(t, nil, 1)
 	var accepted atomic.Bool

@@ -94,46 +94,6 @@ func TestServerDegradesUnderDiskFaults(t *testing.T) {
 	waitIdleOrFatal(t, s)
 }
 
-// TestServerShedsPastDeadline sets a request deadline far below the
-// disk's service time: the server must answer 503, count the shed, and
-// still quiesce — the straggling handler thread finishes its disk read,
-// fails its late write against the closed connection, and exits.
-func TestServerShedsPastDeadline(t *testing.T) {
-	s := newSite(t, 1, 16384)
-	srv := httpd.NewServer(s.io, httpd.ServerConfig{
-		CacheBytes:      1,
-		DiskRetries:     1, // engage the read-before-head degraded path
-		RequestDeadline: 50 * time.Microsecond,
-	})
-	s.rt.Spawn(acceptN(s, srv, "web:80", 1))
-
-	gen := loadgen.New(s.io, loadgen.Config{
-		Addr: "web:80", Clients: 1, Files: 1, RequestsPerClient: 1, Seed: 1,
-	})
-	done := make(chan struct{})
-	s.rt.Spawn(core.Then(gen.Run(), core.Do(func() { close(done) })))
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("workload wedged under request deadline")
-	}
-
-	if gen.Statuses[5].Load() != 1 {
-		t.Fatalf("5xx = %d, want 1 (deadline shed)", gen.Statuses[5].Load())
-	}
-	if gen.Errors.Load() != 0 {
-		t.Fatalf("client errors: %d (shed must be a clean 503, not a torn stream)", gen.Errors.Load())
-	}
-	snap := srv.Metrics().Snapshot()
-	if snap.Counter("sheds") != 1 {
-		t.Fatalf("sheds = %d, want 1", snap.Counter("sheds"))
-	}
-	if snap.Counter("resp_503") != 1 {
-		t.Fatalf("resp_503 = %d, want 1", snap.Counter("resp_503"))
-	}
-	waitIdleOrFatal(t, s)
-}
-
 // TestServerFaultFreeDegradationIsInvisible: with a fault-free disk, a
 // server configured with retries serves exactly like the plain one.
 func TestServerFaultFreeDegradationIsInvisible(t *testing.T) {

@@ -16,7 +16,7 @@ import (
 // carries exactly one armed timer, re-armed in O(1) at each phase
 // transition, so ten thousand parked keep-alive connections cost ten
 // thousand wheel slots and nothing else. A deadline that fires sheds the
-// connection from outside its handler thread (Shedder); the thread's
+// connection from outside its handler thread (Transport.Shed); the thread's
 // blocked I/O fails and it unwinds through the server's normal
 // exception path.
 //
@@ -53,22 +53,6 @@ func (c *LifecycleConfig) enabled() bool {
 		c.BodyTimeout > 0 || c.WriteStallTimeout > 0)
 }
 
-// Shedder is an optional Transport capability: Shed tears the connection
-// down immediately, synchronously, from outside its handler thread — the
-// lever a lifecycle deadline pulls on expiry. Both built-in transports
-// implement it; a transport that does not cannot be shed, so lifecycle
-// deadlines are inert on it.
-type Shedder interface {
-	Shed()
-}
-
-// Shed aborts the TCP connection (RST path): pending reads and writes
-// fail immediately and no TIME_WAIT state lingers for the attacker.
-func (t TCPTransport) Shed() { t.Conn.Abort() }
-
-// Shed closes the kernel socket out from under the handler.
-func (s SockTransport) Shed() { _ = s.IO.Kernel().Close(s.FD) }
-
 // Connection lifecycle phases, for deadline accounting.
 const (
 	phaseIdle = iota
@@ -84,9 +68,10 @@ const (
 // into the watch, and the watch may call into the wheel while holding
 // its lock, so there is no cycle.
 type connWatch struct {
-	s  *Server
-	sh Shedder
-	lc *LifecycleConfig
+	s      *Server
+	t      Transport
+	lc     *LifecycleConfig
+	expire func() // fire, evaluated once: a method value allocates per use
 
 	mu    sync.Mutex
 	tm    *timerwheel.Timer
@@ -108,7 +93,7 @@ func (w *connWatch) to(phase int, d vclock.Duration) {
 	}
 	w.phase = phase
 	if d > 0 {
-		w.tm = w.s.wheel.Schedule(d, w.fire)
+		w.tm = w.s.wheel.Schedule(d, w.expire)
 	}
 	w.mu.Unlock()
 }
@@ -150,7 +135,7 @@ func (w *connWatch) progress() {
 	if w.tm != nil {
 		w.tm.Stop()
 	}
-	w.tm = w.s.wheel.Schedule(w.lc.WriteStallTimeout, w.fire)
+	w.tm = w.s.wheel.Schedule(w.lc.WriteStallTimeout, w.expire)
 	w.mu.Unlock()
 }
 
@@ -188,7 +173,7 @@ func (w *connWatch) fire() {
 	case phaseWrite:
 		w.s.shedWrite.Add(1)
 	}
-	w.sh.Shed()
+	w.t.Shed()
 }
 
 // LifecycleStats is a snapshot of the lifecycle defense counters.
@@ -214,69 +199,23 @@ func (s *Server) LifecycleStats() LifecycleStats {
 	}
 }
 
-// watchConn attaches a lifecycle watch to a connection's transport,
-// returning the wrapped transport (whose writes renew the write-stall
-// deadline) and the watch. Transports that cannot be shed get no watch:
-// there is no safe lever to pull on expiry.
-func (s *Server) watchConn(t Transport) (Transport, *connWatch) {
-	if !s.cfg.Lifecycle.enabled() {
-		return t, nil
-	}
-	sh, ok := t.(Shedder)
-	if !ok {
-		return t, nil
-	}
-	w := &connWatch{s: s, sh: sh, lc: s.cfg.Lifecycle}
-	wt := watchedTransport{t: t, w: w}
-	if vw, ok := t.(VectorWriter); ok {
-		return watchedVectorTransport{watchedTransport: wt, vw: vw}, w
-	}
-	return wt, w
-}
-
-// watchedTransport threads write completions to the lifecycle watch. The
-// wrapping is pure continuation composition (core.Map adds no trace
-// nodes), so the watched connection schedules exactly like the plain one.
-type watchedTransport struct {
-	t Transport
-	w *connWatch
-}
-
-func (x watchedTransport) Read(p []byte) core.M[int] { return x.t.Read(p) }
-
-func (x watchedTransport) Write(p []byte) core.M[int] {
-	return core.Map(x.t.Write(p), func(n int) int { x.w.progress(); return n })
-}
-
-func (x watchedTransport) Close() core.M[core.Unit] { return x.t.Close() }
-
-// Shed passes through so overload Drain and nested wrappers still reach
-// the real lever.
-func (x watchedTransport) Shed() { x.w.sh.Shed() }
-
-// watchedVectorTransport additionally preserves the zero-copy write
-// capability of the underlying transport.
-type watchedVectorTransport struct {
-	watchedTransport
-	vw VectorWriter
-}
-
-func (x watchedVectorTransport) WriteOwned(p []byte) core.M[int] {
-	return core.Map(x.vw.WriteOwned(p), func(n int) int { x.w.progress(); return n })
-}
-
 // drainBody discards a request's declared body under the body-phase
 // deadline, so a trickled body cannot wedge the connection and stray
 // body bytes cannot desync the next request's framing. Returns nil when
 // the request declares no body (the caller skips straight to respond).
 // Only lifecycle mode drains bodies; the plain server's behavior — and
 // trace shape — is untouched.
-func (s *Server) drainBody(t Transport, hb *HeadBuffer, req *Request, w *connWatch, buf []byte) core.M[core.Unit] {
-	cl, err := strconv.ParseInt(req.Headers["content-length"], 10, 64)
+func (c *conn) drainBody() core.M[core.Unit] {
+	hb, buf := &c.hb, c.buf
+	v, ok := c.req.Headers["content-length"]
+	if !ok {
+		return nil // no body; skip ParseInt, whose error allocates
+	}
+	cl, err := strconv.ParseInt(v, 10, 64)
 	if err != nil || cl <= 0 {
 		return nil
 	}
-	w.toBody()
+	c.w.toBody()
 	// Body bytes read together with the head are already buffered.
 	remaining := cl - int64(hb.Discard(int(min(cl, int64(hb.Buffered())))))
 	var loop func() core.M[core.Unit]
@@ -284,7 +223,7 @@ func (s *Server) drainBody(t Transport, hb *HeadBuffer, req *Request, w *connWat
 		if remaining <= 0 {
 			return core.Skip
 		}
-		return core.Bind(t.Read(buf), func(n int) core.M[core.Unit] {
+		return core.Bind(c.t.Read(buf), func(n int) core.M[core.Unit] {
 			if n == 0 {
 				return core.Throw[core.Unit](fmt.Errorf("%w: stream ended %d bytes into a %d-byte body",
 					ErrMalformedRequest, cl-remaining, cl))

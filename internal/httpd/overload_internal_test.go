@@ -17,8 +17,9 @@ type poisonTransport struct{}
 func (poisonTransport) Read(p []byte) core.M[int] {
 	return core.NBIO(func() int { panic("poisoned handler") })
 }
-func (poisonTransport) Write(p []byte) core.M[int] { return core.Return(len(p)) }
-func (poisonTransport) Close() core.M[core.Unit]   { return core.Skip }
+func (poisonTransport) Write(cell *[]byte) core.M[int] { return core.Return(len(*cell)) }
+func (poisonTransport) Close() core.M[core.Unit]       { return core.Skip }
+func (poisonTransport) Shed()                          {}
 
 // A supervised connection whose handler panics is an accounted, isolated
 // event: the admission slot is released, the connection table entry is

@@ -10,7 +10,6 @@ import (
 	"hybrid/internal/bufpool"
 	"hybrid/internal/core"
 	"hybrid/internal/hio"
-	"hybrid/internal/iovec"
 	"hybrid/internal/kernel"
 	"hybrid/internal/stats"
 	"hybrid/internal/tcp"
@@ -26,70 +25,49 @@ import (
 type Transport interface {
 	// Read yields at least one byte, or 0 at end of stream.
 	Read(p []byte) core.M[int]
-	// Write sends all of p.
-	Write(p []byte) core.M[int]
+	// Write returns a computation that, each time its trace is forced,
+	// sends all of the buffer *cell holds at that moment and delivers the
+	// count. The server applies it once per connection and re-enters the
+	// trace for every write, so steady-state responses allocate no write
+	// nodes. The server never mutates a buffer it has written, so a
+	// transport may keep a reference instead of copying.
+	Write(cell *[]byte) core.M[int]
 	// Close ends the connection.
 	Close() core.M[core.Unit]
+	// Shed tears the connection down immediately, synchronously, from
+	// outside its handler thread — the lever a lifecycle deadline pulls
+	// on expiry. The handler's blocked I/O fails and it unwinds through
+	// the server's exception path.
+	Shed()
 }
 
-// SockTransport is a Transport over a kernel stream socket.
+// SockTransport is a Transport over a kernel stream socket. Writes copy
+// into the socket buffer.
 type SockTransport struct {
 	IO *hio.IO
 	FD kernel.FD
 }
 
-func (s SockTransport) Read(p []byte) core.M[int]  { return s.IO.SockRead(s.FD, p) }
-func (s SockTransport) Write(p []byte) core.M[int] { return s.IO.SockSend(s.FD, p) }
-func (s SockTransport) Close() core.M[core.Unit]   { return s.IO.CloseFD(s.FD) }
+func (s SockTransport) Read(p []byte) core.M[int]      { return s.IO.SockRead(s.FD, p) }
+func (s SockTransport) Write(cell *[]byte) core.M[int] { return s.IO.SockSendCell(s.FD, cell) }
+func (s SockTransport) Close() core.M[core.Unit]       { return s.IO.CloseFD(s.FD) }
+
+// Shed closes the kernel socket out from under the handler.
+func (s SockTransport) Shed() { _ = s.IO.Kernel().Close(s.FD) }
 
 // TCPTransport is a Transport over the application-level TCP stack.
+// Writes queue the buffer by reference on the stack's vectored send path
+// — segments carry the response payload in place, the zero-copy half of
+// §4.3's "avoiding unnecessary copies".
 type TCPTransport struct{ Conn *tcp.Conn }
 
-func (t TCPTransport) Read(p []byte) core.M[int]  { return t.Conn.ReadM(p) }
-func (t TCPTransport) Write(p []byte) core.M[int] { return t.Conn.WriteM(p) }
-func (t TCPTransport) Close() core.M[core.Unit]   { return t.Conn.CloseM() }
+func (t TCPTransport) Read(p []byte) core.M[int]      { return t.Conn.ReadM(p) }
+func (t TCPTransport) Write(cell *[]byte) core.M[int] { return t.Conn.WriteCellVM(cell) }
+func (t TCPTransport) Close() core.M[core.Unit]       { return t.Conn.CloseM() }
 
-// VectorWriter is an optional Transport capability: WriteOwned sends a
-// buffer whose storage the caller promises never to mutate, so the
-// transport may alias it instead of copying. The TCP transport threads
-// it through the stack's vectored send path — segments reference the
-// response payload in place, the zero-copy half of §4.3's "avoiding
-// unnecessary copies".
-type VectorWriter interface {
-	WriteOwned(p []byte) core.M[int]
-}
-
-// WriteOwned queues p by reference via the vectored write path. Its
-// trace is node-for-node the same as Write's — TryWriteV accepts
-// exactly the prefix TryWrite would copy — so the transport switch
-// changes no scheduling decisions.
-func (t TCPTransport) WriteOwned(p []byte) core.M[int] {
-	return core.Map(t.Conn.WriteVM(iovec.FromBytes(p)), func(core.Unit) int { return len(p) })
-}
-
-// CellWriter is an optional Transport capability for the flattened serve
-// loop: WriteCell returns a computation that, each time its trace is
-// forced, writes all of the buffer *cell holds at that moment, by the
-// transport's best path (by reference where it has one). The serve loop
-// applies it once per connection and re-enters the trace per response,
-// so steady-state responses allocate no write nodes. The emitted node
-// sequence is exactly the per-request Write/WriteOwned sequence, so the
-// fast path changes no scheduling decisions. *cell must be non-empty at
-// entry and must not change until the count is delivered.
-type CellWriter interface {
-	WriteCell(cell *[]byte) core.M[int]
-}
-
-// WriteCell sends by the copying socket path, like Write.
-func (s SockTransport) WriteCell(cell *[]byte) core.M[int] {
-	return s.IO.SockSendCell(s.FD, cell)
-}
-
-// WriteCell queues by reference via the vectored send path, like
-// WriteOwned — cached responses stay zero-copy on the fast path.
-func (t TCPTransport) WriteCell(cell *[]byte) core.M[int] {
-	return t.Conn.WriteCellVM(cell)
-}
+// Shed aborts the TCP connection (RST path): pending reads and writes
+// fail immediately and no TIME_WAIT state lingers for the attacker.
+func (t TCPTransport) Shed() { t.Conn.Abort() }
 
 // ServerConfig tunes the hybrid server.
 type ServerConfig struct {
@@ -116,10 +94,6 @@ type ServerConfig struct {
 	// RetryBackoff is the base delay between disk retries (doubling each
 	// attempt). Default 500 µs when DiskRetries is set.
 	RetryBackoff vclock.Duration
-	// RequestDeadline, when positive, bounds each request's total
-	// service time: past it the server sends a 503 and sheds the
-	// connection. Zero disables the deadline.
-	RequestDeadline vclock.Duration
 	// Overload, when non-nil, enables admission control, circuit-broken
 	// load shedding, connection supervision, and graceful drain (see
 	// OverloadConfig). Nil keeps the server byte-identical to the plain
@@ -145,13 +119,6 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	return c
 }
 
-// degrading reports whether any graceful-degradation machinery is on.
-// When false the server's trace shape is identical to the original
-// fail-fast implementation — important for deterministic-replay tests.
-func (c ServerConfig) degrading() bool {
-	return c.DiskRetries > 0 || c.RequestDeadline > 0
-}
-
 // Server is the hybrid web server: one monadic thread per connection,
 // asynchronous disk I/O, and an application-level cache. Its structure is
 // the paper's 370-line server: an accept loop forking per-client threads
@@ -171,11 +138,10 @@ type Server struct {
 	cachedServes atomic.Uint64 // GETs answered from the cache
 	aioServes    atomic.Uint64 // GETs streamed from disk via AIO
 
-	// Degradation counters (registered only when degrading() — the
+	// Degradation counters (registered only when DiskRetries > 0 — the
 	// default server's stats snapshot is unchanged).
 	diskRetries atomic.Uint64 // disk reads retried after a fault
 	diskErrors  atomic.Uint64 // disk reads that failed after all retries
-	sheds       atomic.Uint64 // connections shed (503) by the deadline
 	unavailable atomic.Uint64 // 503 responses sent
 
 	// Lifecycle state and counters (nil / registered only when
@@ -219,10 +185,9 @@ func NewServer(io *hio.IO, cfg ServerConfig) *Server {
 	s.metrics.CounterFunc("cache_misses", func() uint64 { _, m, _ := s.cache.Stats(); return m })
 	s.metrics.CounterFunc("cache_evictions", func() uint64 { _, _, e := s.cache.Stats(); return e })
 	s.metrics.GaugeFunc("cache_bytes", s.cache.Used)
-	if cfg.degrading() {
+	if cfg.DiskRetries > 0 {
 		s.metrics.CounterFunc("disk_retries", s.diskRetries.Load)
 		s.metrics.CounterFunc("disk_errors", s.diskErrors.Load)
-		s.metrics.CounterFunc("sheds", s.sheds.Load)
 		s.metrics.CounterFunc("resp_503", s.unavailable.Load)
 	}
 	if cfg.Lifecycle.enabled() {
@@ -362,312 +327,293 @@ func (s *Server) ServeTCP(l *tcp.Listener) core.M[core.Unit] {
 // class, so the buffer recycles across connections).
 const connReadBytes = 4096
 
-// ServeTransport handles one connection: parse requests, serve files,
-// repeat while keep-alive, and on any I/O exception close cleanly.
+// conn is one connection's request machine: parse requests, serve files,
+// repeat while keep-alive, and on any I/O exception close cleanly. Every
+// request kind — cached GET, cache miss, HEAD, 4xx/405 and the breaker's
+// 503 — is a state of this one machine, and all of them write through
+// the same two pre-applied head and body write traces.
 //
-// The request loop is written in direct trace style: its nodes and
-// continuations are allocated once per connection and reused for every
-// keep-alive request, instead of reconstructing an equivalent closure
-// graph per request the way the combinator spelling does. Trace nodes
-// are immutable to the scheduler (forcing one only calls its Effect), so
-// re-entering the pending node IS serving the next request. Values that
-// vary between runs (the last read count, the last extracted head)
-// thread through connection-local variables that earlier nodes set
-// before later nodes read. The emitted node sequence is exactly the one
-// the combinator spelling produced.
+// The machine is written in direct trace style: its nodes and
+// continuations are allocated once per connection and re-entered for
+// every keep-alive request, instead of rebuilding an equivalent closure
+// graph per request. Trace nodes are immutable to the scheduler (forcing
+// one only calls its Effect), so re-entering the pending node IS serving
+// the next request. Values that vary between requests thread through the
+// struct's fields, which earlier nodes set before later nodes read. A
+// cached GET is two trace re-entries and allocates nothing; the other
+// states are monadic programs over the same write traces.
+type conn struct {
+	s   *Server
+	t   Transport
+	w   *connWatch // nil unless lifecycle deadlines are armed
+	buf []byte     // the connection's read buffer
+	hb  HeadBuffer
+	req Request // reused per request: no state retains it past its response
+
+	nRead   int    // set by the read step, consumed by the feed node
+	headStr string // set when a full head is extracted, consumed by parse
+	keep    bool   // the cached response's keep-alive decision
+
+	// The write cells and their pre-applied write traces. When k is nil a
+	// completed write continues the cached-GET sequence (head, body, next
+	// request); the monadic states set k to their own continuation.
+	head, data   []byte
+	k            func(int) core.Trace
+	headW, dataW core.Trace
+
+	pending, feed, parse core.NBIONode
+	read, close          core.Trace
+	next                 func(keep bool) core.Trace // after a response
+}
+
+// ServeTransport handles one connection with the request machine.
 func (s *Server) ServeTransport(t Transport) core.M[core.Unit] {
 	s.conns.Add(1)
-	hb := &HeadBuffer{}
-	buf := bufpool.Get(connReadBytes)
-	t, w := s.watchConn(t)
-	if w != nil {
-		w.toIdle() // budget for the first request's first byte
+	c := &conn{s: s, t: t, buf: bufpool.Get(connReadBytes)}
+	if s.cfg.Lifecycle.enabled() {
+		c.w = &connWatch{s: s, t: t, lc: s.cfg.Lifecycle}
+		c.w.expire = c.w.fire
+		c.w.toIdle() // budget for the first request's first byte
 	}
-
-	serveLoop := func(k func(core.Unit) core.Trace) core.Trace {
-		var (
-			nRead   int    // set by the read step, consumed by the feed node
-			headStr string // set when a full head is extracted, consumed by parse
-		)
-		// The connection ends at most once, so its close trace can be
-		// built up front (building an M is pure; only forcing it acts).
-		closeTrace := core.Then(t.Close(), core.Do(func() {
-			if w != nil {
-				w.cancel()
-			}
-			s.conns.Add(-1)
-			bufpool.Put(buf)
-		}))(k)
-
-		var pendingNode, feedNode, parseNode *core.NBIONode
-		afterRespond := func(keep bool) core.Trace {
-			if keep {
-				if w != nil {
-					w.toIdle() // response done: next deadline is the idle reap
-				}
-				return pendingNode // next request on this connection
-			}
-			return closeTrace
-		}
-
-		// Flattened cached-GET fast path. When the transport can write
-		// through a cell (CellWriter) and no request deadline wraps
-		// responses in a timeout race, the whole cached response — head
-		// write, body write, byte accounting, keep-alive decision — is two
-		// trace re-entries of computations applied here, once per
-		// connection: the parse effect stores the response buffers in the
-		// cells and jumps to the pre-applied head-write trace. The request
-		// struct and its header map are reused across requests for the
-		// same reason (safe exactly because no deadline path can retain
-		// the request beyond its response). Counters fire at the same
-		// positions respond() fires them, and the node sequence is
-		// identical to the per-request spelling, so figure output does not
-		// move. Everything else — HEAD, bad requests, cache misses,
-		// deadline-bounded serving — falls back to respondBounded.
-		var (
-			cellHead, cellData []byte
-			cellKeep           bool
-			fastReq            Request
-			fastHead           core.Trace
-		)
-		useFast := false
-		if cw, ok := t.(CellWriter); ok && s.cfg.RequestDeadline <= 0 {
-			useFast = true
-			dataTrace := cw.WriteCell(&cellData)(func(n int) core.Trace {
-				s.bytesOut.Add(uint64(n))
-				return afterRespond(cellKeep)
-			})
-			fastHead = cw.WriteCell(&cellHead)(func(int) core.Trace { return dataTrace })
-		}
-		respondTrace := func(req *Request) core.Trace {
-			if useFast && req.Method == "GET" {
-				name := strings.TrimPrefix(req.Path, "/")
-				if name == "" || strings.Contains(name, "..") {
-					s.requests.Add(1)
-					return s.sendError(t, 400, req.KeepAlive())(afterRespond)
-				}
-				s.requests.Add(1)
-				keep := req.KeepAlive()
-				if data, ok := s.cache.Get(name); ok {
-					s.cachedServes.Add(1)
-					if s.ovl != nil {
-						s.classCached.Add(1)
-					}
-					cellKeep = keep
-					cellHead = ResponseHead(200, int64(len(data)), keep)
-					cellData = data
-					return fastHead
-				}
-				return s.respondMiss(t, name, keep)(afterRespond)
-			}
-			return s.respondBounded(t, req)(afterRespond)
-		}
-
-		parseNode = &core.NBIONode{Effect: func() core.Trace {
-			var req *Request
-			var err error
-			if useFast {
-				req, err = &fastReq, ParseRequestInto(&fastReq, headStr)
-			} else {
-				req, err = ParseRequest(headStr)
-			}
-			if err != nil {
-				return &core.ThrowNode{Err: err}
-			}
-			if w != nil {
-				if drain := s.drainBody(t, hb, req, w, buf); drain != nil {
-					return drain(func(core.Unit) core.Trace {
-						w.toWrite()
-						return respondTrace(req)
-					})
-				}
-				w.toWrite()
-			}
-			return respondTrace(req)
-		}}
-		feedNode = &core.NBIONode{Effect: func() core.Trace {
-			head, err := hb.Feed(buf[:nRead])
-			if err != nil {
-				return &core.ThrowNode{Err: err}
-			}
-			if head == "" {
-				return pendingNode // need more input for this head
-			}
-			headStr = head
-			return parseNode
-		}}
-		readTrace := t.Read(buf)(func(n int) core.Trace {
-			if n == 0 {
-				return closeTrace // clean EOF
-			}
-			if w != nil {
-				w.onBytes() // first bytes of a head: idle -> header budget
-			}
-			nRead = n
-			return feedNode
-		})
-		pendingNode = &core.NBIONode{Effect: func() core.Trace {
-			head, err := hb.Pending()
-			if err != nil {
-				return &core.ThrowNode{Err: err}
-			}
-			if head != "" {
-				headStr = head
-				return parseNode
-			}
-			return readTrace
-		}}
-		return pendingNode
-	}
-
 	// Any exception (EPIPE, reset, malformed request) ends the
 	// connection gracefully — the paper's "I/O errors are handled
-	// gracefully using exceptions". The exception path never reached the
-	// close trace's accounting node, so the read buffer is recycled here.
-	return core.Catch(core.M[core.Unit](serveLoop), func(err error) core.M[core.Unit] {
-		if s.ovl != nil && s.ovl.cfg.SuperviseConns {
-			var pe *core.PanicError
-			if errors.As(err, &pe) {
-				// A trapped panic is a handler bug, not an I/O error:
-				// close the transport and re-raise for the supervisor in
-				// serveAdmitted to account for it. The buffer is left to
-				// the garbage collector — after a panic mid-handler its
-				// state is not worth reasoning about.
-				if w != nil {
-					w.cancel()
-				}
-				s.conns.Add(-1)
-				return core.Then(
-					core.Catch(core.Then(t.Close(), core.Skip),
-						func(error) core.M[core.Unit] { return core.Skip }),
-					core.Throw[core.Unit](err),
-				)
-			}
-		}
-		if w != nil {
-			w.cancel()
-		}
-		s.errors.Add(1)
-		s.conns.Add(-1)
-		bufpool.Put(buf)
-		return core.Catch(
-			core.Then(t.Close(), core.Skip),
-			func(error) core.M[core.Unit] { return core.Skip },
-		)
-	})
+	// gracefully using exceptions".
+	return core.Catch(c.start, c.fail)
 }
 
-// respondBounded applies the configured request deadline around respond.
-// Past the deadline the server answers 503 and sheds the connection; per
-// the runtime's no-cancellation semantics (FirstOf), the straggling
-// handler keeps running in its own thread and its late writes fail
-// harmlessly once the connection closes.
-func (s *Server) respondBounded(t Transport, req *Request) core.M[bool] {
-	if s.cfg.RequestDeadline <= 0 {
-		return s.respond(t, req)
+// start builds the machine's traces and enters the pending state. The
+// connection ends at most once, so its close trace is built up front
+// (building an M is pure; only forcing it acts).
+func (c *conn) start(k func(core.Unit) core.Trace) core.Trace {
+	c.close = core.Then(c.t.Close(), core.Do(c.closed))(k)
+	c.next = c.afterResponse
+	c.headW = c.t.Write(&c.head)(c.headDone)
+	c.dataW = c.t.Write(&c.data)(c.dataDone)
+	c.read = c.t.Read(c.buf)(c.onRead)
+	c.pending.Effect = c.onPending
+	c.feed.Effect = c.onFeed
+	c.parse.Effect = c.onParse
+	return &c.pending
+}
+
+// onPending serves a head already buffered (pipelining), else reads.
+func (c *conn) onPending() core.Trace {
+	head, err := c.hb.Pending()
+	if err != nil {
+		return &core.ThrowNode{Err: err}
 	}
-	return core.Catch(
-		core.Timeout(s.io.Clock(), s.cfg.RequestDeadline, s.respond(t, req)),
-		func(err error) core.M[bool] {
-			if !errors.Is(err, core.ErrTimedOut) {
-				return core.Throw[bool](err)
-			}
-			s.sheds.Add(1)
-			return core.Catch(s.sendError(t, 503, false),
-				func(error) core.M[bool] { return core.Return(false) })
-		},
-	)
+	if head != "" {
+		c.headStr = head
+		return &c.parse
+	}
+	return c.read
 }
 
-// respond serves one request and reports whether to keep the connection.
-func (s *Server) respond(t Transport, req *Request) core.M[bool] {
+func (c *conn) onRead(n int) core.Trace {
+	if n == 0 {
+		return c.close // clean EOF
+	}
+	if c.w != nil {
+		c.w.onBytes() // first bytes of a head: idle -> header budget
+	}
+	c.nRead = n
+	return &c.feed
+}
+
+func (c *conn) onFeed() core.Trace {
+	head, err := c.hb.Feed(c.buf[:c.nRead])
+	if err != nil {
+		return &core.ThrowNode{Err: err}
+	}
+	if head == "" {
+		return &c.pending // need more input for this head
+	}
+	c.headStr = head
+	return &c.parse
+}
+
+func (c *conn) onParse() core.Trace {
+	if err := ParseRequestInto(&c.req, c.headStr); err != nil {
+		return &core.ThrowNode{Err: err}
+	}
+	if c.w != nil {
+		if drain := c.drainBody(); drain != nil {
+			return drain(func(core.Unit) core.Trace {
+				c.w.toWrite()
+				return c.respond()
+			})
+		}
+		c.w.toWrite()
+	}
+	return c.respond()
+}
+
+// respond dispatches one parsed request to its state.
+func (c *conn) respond() core.Trace {
+	s, req := c.s, &c.req
 	s.requests.Add(1)
 	keep := req.KeepAlive()
 	if req.Method != "GET" && req.Method != "HEAD" {
-		return s.sendError(t, 405, keep)
+		return c.sendError(405, keep)(c.next)
 	}
 	name := strings.TrimPrefix(req.Path, "/")
 	if name == "" || strings.Contains(name, "..") {
-		return s.sendError(t, 400, keep)
+		return c.sendError(400, keep)(c.next)
 	}
-
-	// HEAD: metadata only; the blocking open runs on the blio pool.
 	if req.Method == "HEAD" {
-		if s.ovl != nil {
-			s.classMeta.Add(1)
-		}
-		return core.Bind(
-			core.Catch(
-				core.Map(s.io.FileOpen(name), func(f *kernel.File) int64 { return f.Size() }),
-				func(error) core.M[int64] { return core.Return(int64(-1)) },
-			),
-			func(size int64) core.M[bool] {
-				if size < 0 {
-					return s.sendError(t, 404, keep)
-				}
-				return core.Then(
-					core.Bind(t.Write(ResponseHead(200, size, keep)),
-						func(int) core.M[core.Unit] { return core.Skip }),
-					core.Return(keep),
-				)
-			},
-		)
+		return c.respondHead(name, keep)(c.next)
 	}
-
-	// Cache hit path: purely nonblocking. Cache entries and memoized
-	// response heads are immutable, so a transport that can send by
-	// reference (VectorWriter) serves the hit zero-copy: the bytes the
-	// client receives were written exactly once, at cache fill. The two
-	// writes are sequenced in direct trace style — head write, body
-	// write, deliver keep — the same nodes the combinator spelling
-	// emits, minus its intermediate closures on the hottest path.
+	// Cache hit: purely nonblocking. Cache entries and memoized response
+	// heads are immutable, so a by-reference transport serves the hit
+	// zero-copy: the bytes the client receives were written exactly once,
+	// at cache fill.
 	if data, ok := s.cache.Get(name); ok {
 		s.cachedServes.Add(1)
 		if s.ovl != nil {
 			s.classCached.Add(1)
 		}
-		head := ResponseHead(200, int64(len(data)), keep)
-		var writeHead, writeData core.M[int]
-		if vw, ok := t.(VectorWriter); ok {
-			writeHead, writeData = vw.WriteOwned(head), vw.WriteOwned(data)
-		} else {
-			writeHead, writeData = t.Write(head), t.Write(data)
-		}
-		return func(k func(bool) core.Trace) core.Trace {
-			return writeHead(func(int) core.Trace {
-				return writeData(func(n int) core.Trace {
-					s.bytesOut.Add(uint64(n))
-					return k(keep)
-				})
-			})
+		c.keep, c.head, c.data = keep, ResponseHead(200, int64(len(data)), keep), data
+		return c.headW
+	}
+	return c.respondMiss(name, keep)(c.next)
+}
+
+// afterResponse continues with the next request on this connection, or
+// closes it.
+func (c *conn) afterResponse(keep bool) core.Trace {
+	if !keep {
+		return c.close
+	}
+	if c.w != nil {
+		c.w.toIdle() // response done: next deadline is the idle reap
+	}
+	return &c.pending
+}
+
+// headDone and dataDone continue a completed write. Each completion
+// renews the lifecycle write-stall deadline, and the cell drops its
+// buffer so a parked connection pins no response bytes.
+func (c *conn) headDone(n int) core.Trace {
+	c.head = nil
+	if c.w != nil {
+		c.w.progress()
+	}
+	if k := c.k; k != nil {
+		c.k = nil
+		return k(n)
+	}
+	return c.dataW
+}
+
+func (c *conn) dataDone(n int) core.Trace {
+	c.data = nil
+	if c.w != nil {
+		c.w.progress()
+	}
+	if k := c.k; k != nil {
+		c.k = nil
+		return k(n)
+	}
+	c.s.bytesOut.Add(uint64(n))
+	return c.next(c.keep)
+}
+
+// writeHead and writeData send p through the head or body write trace
+// from a monadic state.
+func (c *conn) writeHead(p []byte) core.M[int] {
+	return func(k func(int) core.Trace) core.Trace {
+		c.head, c.k = p, k
+		return c.headW
+	}
+}
+
+func (c *conn) writeData(p []byte) core.M[int] {
+	return func(k func(int) core.Trace) core.Trace {
+		c.data, c.k = p, k
+		return c.dataW
+	}
+}
+
+// closed is the close trace's accounting step.
+func (c *conn) closed() {
+	if c.w != nil {
+		c.w.cancel()
+	}
+	c.s.conns.Add(-1)
+	bufpool.Put(c.buf)
+}
+
+// fail is the connection's exception handler. The exception path never
+// reached the close trace's accounting node, so it accounts here.
+func (c *conn) fail(err error) core.M[core.Unit] {
+	s := c.s
+	closeQuietly := core.Catch(
+		core.Then(c.t.Close(), core.Skip),
+		func(error) core.M[core.Unit] { return core.Skip },
+	)
+	if c.w != nil {
+		c.w.cancel()
+	}
+	s.conns.Add(-1)
+	if s.ovl != nil && s.ovl.cfg.SuperviseConns {
+		var pe *core.PanicError
+		if errors.As(err, &pe) {
+			// A trapped panic is a handler bug, not an I/O error: close
+			// the transport and re-raise for the supervisor in
+			// serveAdmitted to account for it. The buffer is left to the
+			// garbage collector — after a panic mid-handler its state is
+			// not worth reasoning about.
+			return core.Then(closeQuietly, core.Throw[core.Unit](err))
 		}
 	}
+	s.errors.Add(1)
+	bufpool.Put(c.buf)
+	return closeQuietly
+}
 
-	return s.respondMiss(t, name, keep)
+// respondHead serves HEAD: metadata only; the blocking open runs on the
+// blio pool.
+func (c *conn) respondHead(name string, keep bool) core.M[bool] {
+	if c.s.ovl != nil {
+		c.s.classMeta.Add(1)
+	}
+	return core.Bind(
+		core.Catch(
+			core.Map(c.s.io.FileOpen(name), func(f *kernel.File) int64 { return f.Size() }),
+			func(error) core.M[int64] { return core.Return(int64(-1)) },
+		),
+		func(size int64) core.M[bool] {
+			if size < 0 {
+				return c.sendError(404, keep)
+			}
+			return core.Then(c.writeHead(ResponseHead(200, size, keep)), core.Return(keep))
+		},
+	)
 }
 
 // respondMiss serves a cache-missing GET: the blocking-disk cost class.
 // Under an open breaker the request is shed with an immediate 503 —
 // cached requests never reach this point, so shedding protects exactly
-// the expensive path. It is shared by respond and the flattened serve
-// loop's fast path (whose own cache probe already counted the miss).
-func (s *Server) respondMiss(t Transport, name string, keep bool) core.M[bool] {
+// the expensive path.
+func (c *conn) respondMiss(name string, keep bool) core.M[bool] {
+	s := c.s
 	if s.ovl != nil {
 		s.classDisk.Add(1)
 		if s.ovl.breaker != nil {
 			if admit, _ := s.shedDisk(); !admit {
-				return s.sendError(t, 503, keep)
+				return c.sendError(503, keep)
 			}
-			return s.observeDisk(s.respondDisk(t, name, keep))
+			return s.observeDisk(c.respondDisk(name, keep))
 		}
 	}
-	return s.respondDisk(t, name, keep)
+	return c.respondDisk(name, keep)
 }
 
 // respondDisk serves a cache-missing GET: open (blocking pool) and
 // stream via AIO, exactly the paper's send_file (Figure 13) with cleanup
 // handled by Catch in the caller.
-func (s *Server) respondDisk(t Transport, name string, keep bool) core.M[bool] {
+func (c *conn) respondDisk(name string, keep bool) core.M[bool] {
+	s := c.s
 	return core.Bind(
 		core.Catch(
 			core.Map(s.io.FileOpen(name), func(f *kernel.File) *kernel.File { return f }),
@@ -677,26 +623,23 @@ func (s *Server) respondDisk(t Transport, name string, keep bool) core.M[bool] {
 		),
 		func(f *kernel.File) core.M[bool] {
 			if f == nil {
-				return s.sendError(t, 404, keep)
+				return c.sendError(404, keep)
 			}
 			s.aioServes.Add(1)
+			var send core.M[bool]
 			if s.cfg.DiskRetries > 0 {
 				// Degrading path: bounded retries, 503 on a dead file.
-				send := s.sendFileDegraded(t, f, name, keep)
-				if s.disk != nil {
-					s.diskWaits.Add(1)
-					send = core.Then(s.disk.Acquire(), core.Finally(send, s.disk.Release()))
-				}
-				return send
+				send = c.sendFileDegraded(f, name, keep)
+			} else {
+				send = core.Then(c.sendFile(f, name), core.Return(keep))
 			}
-			send := s.sendFile(t, f, name)
 			if s.disk != nil {
 				// Resource-aware admission: bound concurrent disk-path
 				// handlers so the disk queue cannot absorb every thread.
 				s.diskWaits.Add(1)
 				send = core.Then(s.disk.Acquire(), core.Finally(send, s.disk.Release()))
 			}
-			return core.Then(send, core.Return(keep))
+			return send
 		},
 	)
 }
@@ -708,16 +651,12 @@ func (s *Server) DiskAdmissions() uint64 { return s.diskWaits.Load() }
 // in the chunker's destination buffer (one write per byte — no
 // assemble-by-append second copy); small files' destinations become
 // their cache entries afterwards.
-func (s *Server) sendFile(t Transport, f *kernel.File, name string) core.M[core.Unit] {
+func (c *conn) sendFile(f *kernel.File, name string) core.M[core.Unit] {
 	size := f.Size()
-	ck := newChunker(size, s.cfg.CacheBytes, s.cfg.ChunkBytes)
-	readAt := func(off int64) core.M[int] { return s.io.AIORead(f, off, ck.window(off)) }
-	_, stream := s.streamBody(t, ck, name, readAt)
-
-	return core.Then(
-		core.Bind(t.Write(ResponseHead(200, size, true)), func(int) core.M[core.Unit] { return core.Skip }),
-		stream(0),
-	)
+	ck := newChunker(size, c.s.cfg.CacheBytes, c.s.cfg.ChunkBytes)
+	readAt := func(off int64) core.M[int] { return c.s.io.AIORead(f, off, ck.window(off)) }
+	_, stream := c.streamBody(ck, name, readAt)
+	return core.Then(c.writeHead(ResponseHead(200, size, true)), stream(0))
 }
 
 // sendFileDegraded is sendFile with the recovery combinators threaded
@@ -727,7 +666,8 @@ func (s *Server) sendFile(t Transport, f *kernel.File, name string) core.M[core.
 // torn 200. A read that exhausts its retries mid-stream can only abort
 // the connection (the head already promised size bytes); the caller's
 // Catch closes it.
-func (s *Server) sendFileDegraded(t Transport, f *kernel.File, name string, keep bool) core.M[bool] {
+func (c *conn) sendFileDegraded(f *kernel.File, name string, keep bool) core.M[bool] {
+	s := c.s
 	size := f.Size()
 	ck := newChunker(size, s.cfg.CacheBytes, s.cfg.ChunkBytes)
 	bo := core.Backoff{Attempts: s.cfg.DiskRetries + 1, Base: s.cfg.RetryBackoff, Factor: 2}
@@ -742,38 +682,32 @@ func (s *Server) sendFileDegraded(t Transport, f *kernel.File, name string, keep
 			core.Do(func() { s.diskErrors.Add(1) }),
 		)
 	}
-	ship, _ := s.streamBody(t, ck, name, readAt)
+	ship, _ := c.streamBody(ck, name, readAt)
 
 	return core.Bind(
 		core.Catch(readAt(0), func(error) core.M[int] { return core.Return(-1) }),
 		func(n0 int) core.M[bool] {
 			if n0 < 0 {
-				ck.release()
-				return s.sendError(t, 503, false) // degrade: shed this connection
+				return c.sendError(503, false) // degrade: shed this connection
 			}
 			body := core.Skip
 			if n0 > 0 {
 				body = ship(n0, 0)
-			} else {
-				ck.release()
 			}
-			return core.Then(
-				core.Bind(t.Write(ResponseHead(200, size, true)),
-					func(int) core.M[core.Unit] { return core.Skip }),
-				core.Then(body, core.Return(keep)),
-			)
+			return core.Then(c.writeHead(ResponseHead(200, size, true)),
+				core.Then(body, core.Return(keep)))
 		},
 	)
 }
 
-func (s *Server) sendError(t Transport, status int, keep bool) core.M[bool] {
+func (c *conn) sendError(status int, keep bool) core.M[bool] {
 	if status == 503 {
-		s.unavailable.Add(1)
+		c.s.unavailable.Add(1)
 	}
 	body := []byte(fmt.Sprintf("%d %s\n", status, statusText[status]))
 	head := ResponseHead(status, int64(len(body)), keep)
 	return core.Then(
-		core.Bind(t.Write(head), func(int) core.M[int] { return t.Write(body) }),
+		core.Then(c.writeHead(head), c.writeData(body)),
 		core.Return(keep),
 	)
 }

@@ -2,19 +2,31 @@ package httpd_test
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
+	"time"
 
 	"hybrid/internal/core"
+	"hybrid/internal/disk"
+	"hybrid/internal/hio"
 	"hybrid/internal/httpd"
+	"hybrid/internal/kernel"
+	"hybrid/internal/netsim"
+	"hybrid/internal/tcp"
+	"hybrid/internal/vclock"
 )
 
-// The zero-copy response path (VectorWriter.WriteOwned) must be
-// observationally identical to the plain copying Write path: same bytes,
-// same order, for any request sequence. These tests serve the same
-// scripted request stream through two otherwise-identical servers — one
-// over a transport that only implements Write, one over a transport that
-// also implements VectorWriter — and require the output streams to match
-// byte for byte.
+// Transcript oracle for the request machine: whatever mix of requests a
+// connection carries — cache hits (written by reference), disk misses,
+// HEADs, 404s, 405s, HTTP/1.0 closes, heads split across reads — the
+// server must write exactly the bytes a model built from ResponseHead
+// and the files' contents predicts. The files have different sizes,
+// because pattern contents depend only on the offset: serving the wrong
+// file would otherwise go unnoticed.
+
+// transcriptFiles are the served files' sizes, by name.
+var transcriptFiles = map[string]int64{"file-0": 1024, "file-1": 3000}
 
 // replayTransport feeds scripted read chunks and records everything
 // written. Chunks must fit the server's read buffer.
@@ -22,7 +34,6 @@ type replayTransport struct {
 	chunks [][]byte
 	i      int
 	out    bytes.Buffer
-	closed bool
 }
 
 func (r *replayTransport) Read(p []byte) core.M[int] {
@@ -36,60 +47,89 @@ func (r *replayTransport) Read(p []byte) core.M[int] {
 	})
 }
 
-func (r *replayTransport) Write(p []byte) core.M[int] {
+func (r *replayTransport) Write(cell *[]byte) core.M[int] {
 	return core.NBIO(func() int {
-		r.out.Write(p)
-		return len(p)
+		r.out.Write(*cell)
+		return len(*cell)
 	})
 }
 
-func (r *replayTransport) Close() core.M[core.Unit] {
-	return core.Do(func() { r.closed = true })
-}
+func (r *replayTransport) Close() core.M[core.Unit] { return core.Skip }
+func (r *replayTransport) Shed()                    {}
 
-// vectorReplayTransport adds the zero-copy capability; owned counts how
-// many writes took the by-reference path.
-type vectorReplayTransport struct {
-	replayTransport
-	owned int
-}
-
-func (v *vectorReplayTransport) WriteOwned(p []byte) core.M[int] {
-	return core.NBIO(func() int {
-		v.owned++
-		v.out.Write(p)
-		return len(p)
-	})
-}
-
-var _ httpd.VectorWriter = (*vectorReplayTransport)(nil)
-
-// requestTemplates is the request mix the equivalence check draws from:
-// cache hits (the zero-copy path), disk misses, 404s, HEADs, and a
-// non-GET error response.
+// requestTemplates is the request mix the oracle draws from.
 var requestTemplates = []string{
 	"GET /file-0 HTTP/1.1\r\nHost: t\r\nConnection: keep-alive\r\n\r\n",
 	"GET /file-1 HTTP/1.1\r\nHost: t\r\nConnection: keep-alive\r\n\r\n",
 	"GET /missing HTTP/1.1\r\nHost: t\r\nConnection: keep-alive\r\n\r\n",
-	"HEAD /file-0 HTTP/1.1\r\nHost: t\r\nConnection: keep-alive\r\n\r\n",
+	"HEAD /file-1 HTTP/1.1\r\nHost: t\r\nConnection: keep-alive\r\n\r\n",
 	"POST /file-0 HTTP/1.1\r\nHost: t\r\nConnection: keep-alive\r\n\r\n",
-	"GET /file-0 HTTP/1.0\r\n\r\n", // no keep-alive: closes the connection
+	"GET /file-1 HTTP/1.0\r\n\r\n", // no keep-alive: closes the connection
+}
+
+// fileBytes is a pattern-backed file's whole contents.
+func fileBytes(name string, size int64) []byte {
+	b := make([]byte, size)
+	for i := range b {
+		b[i] = kernel.PatternByte(name, int64(i))
+	}
+	return b
+}
+
+// expectTranscript models the server: the bytes it must write for the
+// template sequence sel, given that every file fits the cache.
+func expectTranscript(sel []byte) []byte {
+	var out []byte
+	cached := map[string]bool{}
+	errorResp := func(status int, reason string, keep bool) {
+		body := fmt.Sprintf("%d %s\n", status, reason)
+		out = append(out, httpd.ResponseHead(status, int64(len(body)), keep)...)
+		out = append(out, body...)
+	}
+	for _, b := range sel {
+		req := requestTemplates[int(b)%len(requestTemplates)]
+		line := req[:strings.Index(req, "\r\n")]
+		f := strings.Fields(line)
+		method, name, keep := f[0], strings.TrimPrefix(f[1], "/"), f[2] == "HTTP/1.1"
+		size, exists := transcriptFiles[name]
+		switch {
+		case method != "GET" && method != "HEAD":
+			errorResp(405, "Method Not Allowed", keep)
+		case !exists:
+			errorResp(404, "Not Found", keep)
+		case method == "HEAD":
+			out = append(out, httpd.ResponseHead(200, size, keep)...)
+		case cached[name]:
+			out = append(out, httpd.ResponseHead(200, size, keep)...)
+			out = append(out, fileBytes(name, size)...)
+		default:
+			// A miss commits its head before it knows the connection's
+			// fate, so it always announces keep-alive.
+			out = append(out, httpd.ResponseHead(200, size, true)...)
+			out = append(out, fileBytes(name, size)...)
+			cached[name] = true
+		}
+		if !keep {
+			break
+		}
+	}
+	return out
 }
 
 // serveScript runs one request stream through a fresh server over the
-// given transport and returns the bytes the server wrote.
-func serveScript(t *testing.T, chunks [][]byte, vector bool) (out []byte, owned int) {
+// replay transport and returns the bytes the server wrote.
+func serveScript(t *testing.T, chunks [][]byte) []byte {
 	t.Helper()
-	s := newSite(t, 2, 1024)
-	srv := httpd.NewServer(s.io, httpd.ServerConfig{CacheBytes: 1 << 20})
-	if vector {
-		tr := &vectorReplayTransport{replayTransport: replayTransport{chunks: chunks}}
-		runAndWait(s.rt, srv.ServeTransport(tr))
-		return tr.out.Bytes(), tr.owned
+	s := newSite(t, 0, 0)
+	for name, size := range transcriptFiles {
+		if _, err := s.fs.Create(name, size, false); err != nil {
+			t.Fatal(err)
+		}
 	}
+	srv := httpd.NewServer(s.io, httpd.ServerConfig{CacheBytes: 1 << 20, ChunkBytes: 1000})
 	tr := &replayTransport{chunks: chunks}
 	runAndWait(s.rt, srv.ServeTransport(tr))
-	return tr.out.Bytes(), 0
+	return tr.out.Bytes()
 }
 
 // script turns fuzz bytes into a chunked request stream: each byte picks
@@ -108,19 +148,24 @@ func script(sel []byte) [][]byte {
 	return chunks
 }
 
-func TestVectorWriterMatchesCopyPath(t *testing.T) {
-	sel := []byte{0, 0, 1, 2, 3, 4, 0, 3, 6, 9, 12, 1, 0, 5}
-	plain, _ := serveScript(t, script(sel), false)
-	vec, owned := serveScript(t, script(sel), true)
-	if owned == 0 {
-		t.Fatal("vector transport never took the zero-copy path")
-	}
-	if !bytes.Equal(plain, vec) {
-		t.Fatalf("response streams differ: copy %d bytes, zero-copy %d bytes", len(plain), len(vec))
+func checkTranscript(t *testing.T, sel []byte) {
+	t.Helper()
+	got, want := serveScript(t, script(sel)), expectTranscript(sel)
+	if !bytes.Equal(got, want) {
+		i := 0
+		for i < len(got) && i < len(want) && got[i] == want[i] {
+			i++
+		}
+		t.Fatalf("transcript for %v: %d bytes, want %d; first difference at byte %d",
+			sel, len(got), len(want), i)
 	}
 }
 
-func FuzzVectorWriterEquivalence(f *testing.F) {
+func TestServeTranscriptMatchesOracle(t *testing.T) {
+	checkTranscript(t, []byte{0, 0, 1, 2, 3, 4, 0, 1, 3, 6, 9, 12, 1, 0, 5, 0})
+}
+
+func FuzzServeTranscript(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{0, 1, 2, 3, 4, 5})
 	f.Add([]byte{5, 0})
@@ -129,12 +174,84 @@ func FuzzVectorWriterEquivalence(f *testing.F) {
 		if len(sel) == 0 || len(sel) > 32 {
 			t.Skip()
 		}
-		chunks := script(sel)
-		plain, _ := serveScript(t, chunks, false)
-		vec, _ := serveScript(t, chunks, true)
-		if !bytes.Equal(plain, vec) {
-			t.Fatalf("response streams differ for %v: copy %d bytes, zero-copy %d bytes",
-				sel, len(plain), len(vec))
-		}
+		checkTranscript(t, sel)
 	})
+}
+
+// The TCP transport sends by reference, so a body chunk it is handed
+// must never be reused while the stack may still transmit it. A file
+// larger than CacheBytes streams through per-read chunks smaller than
+// the file. The server's link is slow and drops one data segment, so
+// accepted bytes wait in the send buffer, and one is retransmitted from
+// it, long after the next chunk has been read from disk. Every body
+// byte the client receives, on two keep-alive requests, must be the
+// file's.
+func TestTCPTransportStreamsLargeFileIntact(t *testing.T) {
+	const size = 40000
+	clk := vclock.NewVirtual()
+	net := netsim.New(clk, 5)
+	hostS, err := net.Host("server", netsim.LinkParams{Bandwidth: 1 << 20, Latency: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hostC, err := net.Host("client", netsim.Ethernet100())
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.SetPath("server", "client", netsim.PathSpec{DropSeq: []uint64{6}})
+	stackS := tcp.NewStack(hostS, tcp.Config{})
+	stackC := tcp.NewStack(hostC, tcp.Config{})
+	k := kernel.New(clk)
+	fs := kernel.NewFS(disk.New(clk, disk.DefaultGeometry()))
+	if _, err := fs.Create("big", size, false); err != nil {
+		t.Fatal(err)
+	}
+	rt := core.NewRuntime(core.Options{Workers: 1, Clock: clk})
+	io := hio.New(rt, k, fs)
+	defer func() {
+		io.Close()
+		rt.Shutdown()
+	}()
+	srv := httpd.NewServer(io, httpd.ServerConfig{CacheBytes: size / 2, ChunkBytes: 4096})
+	l, err := stackS.Listen(80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Spawn(srv.ServeTCP(l))
+
+	var got []byte
+	client := core.Bind(stackC.ConnectM("server", 80), func(c *tcp.Conn) core.M[core.Unit] {
+		req := []byte("GET /big HTTP/1.1\r\nHost: s\r\n\r\nGET /big HTTP/1.1\r\n" + closeHdr)
+		buf := make([]byte, 4096)
+		var loop func() core.M[core.Unit]
+		loop = func() core.M[core.Unit] {
+			return core.Bind(c.ReadM(buf), func(n int) core.M[core.Unit] {
+				if n == 0 {
+					return c.CloseM()
+				}
+				got = append(got, buf[:n]...)
+				return loop()
+			})
+		}
+		return core.Then(c.WriteM(req), loop())
+	})
+	runAndWait(rt, client)
+
+	body := fileBytes("big", size)
+	want := append(append([]byte(nil), httpd.ResponseHead(200, size, true)...), body...)
+	want = append(append(want, httpd.ResponseHead(200, size, true)...), body...)
+	if len(got) != len(want) {
+		t.Fatalf("received %d bytes, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("byte %d = %#x, want %#x: a sent chunk was reused", i, got[i], want[i])
+		}
+	}
+	if hits, _, _ := srv.Cache().Stats(); hits != 0 {
+		t.Fatalf("%d cache hits: the file must stream from disk each time", hits)
+	}
+	if errs := rt.UncaughtErrors(); len(errs) != 0 {
+		t.Fatalf("uncaught: %v", errs)
+	}
 }

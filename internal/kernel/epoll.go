@@ -84,6 +84,11 @@ func (ep *Epoll) Register(fd FD, mask Event, data any) error {
 		return err
 	}
 	w := &watch{ep: ep, fd: fd, mask: mask | EventHup, data: data}
+	if ep.immediate {
+		// Immediate mode never calls Wait: each registration is one
+		// thread's epoll wait, delivered by callback instead of harvest.
+		ep.k.counters.epollWaits.Add(1)
+	}
 	// The object checks current readiness under its own lock and either
 	// fires the watch now or parks it on its wait list.
 	e.addWatch(w)

@@ -174,8 +174,10 @@ type Stats struct {
 	BytesWrote  uint64
 	EAGAINs     uint64
 	PipeEAGAINs uint64
-	EpollWaits  uint64
-	Wakeups     uint64
+	// EpollWaits counts threads waiting for readiness: harvest-mode Wait
+	// calls, or immediate-mode registrations (which never call Wait).
+	EpollWaits uint64
+	Wakeups    uint64
 	// SpuriousWakeups counts epoll waiters that woke and found an empty
 	// ready list. With targeted signaling this stays at zero; it exists
 	// to pin the absence of thundering-herd rechecks in tests.

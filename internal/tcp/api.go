@@ -118,31 +118,14 @@ func (c *Conn) ReadFullM(p []byte) core.M[int] {
 }
 
 // WriteM writes all of p, parking the thread while the send buffer is
-// full, and returns len(p).
+// full, and returns len(p). The stack copies what it accepts, so the
+// caller may reuse p as soon as the count is delivered. It is a one-shot
+// of the WriteCellVM machine in copying mode.
 func (c *Conn) WriteM(p []byte) core.M[int] {
-	total := len(p)
-	var step func(rest []byte) core.M[int]
-	step = func(rest []byte) core.M[int] {
-		if len(rest) == 0 {
-			return core.Return(total)
-		}
-		return core.Bind(
-			core.NBIO(func() ioResult {
-				n, err := c.TryWrite(rest)
-				return ioResult{n, err}
-			}),
-			func(r ioResult) core.M[int] {
-				if errors.Is(r.err, ErrWouldBlock) {
-					return core.Then(await(c.OnSendReady), step(rest))
-				}
-				if r.err != nil {
-					return core.Throw[int](r.err)
-				}
-				return step(rest[r.n:])
-			},
-		)
+	if len(p) == 0 {
+		return core.Return(0)
 	}
-	return step(p)
+	return c.writeCell(nil, iovec.FromBytes(p), true)
 }
 
 // CloseM closes the send direction from a monadic thread.
@@ -254,62 +237,50 @@ func (c *Conn) ReadFull(p []byte) (int, error) {
 
 // WriteVM writes an I/O vector from a monadic thread without copying,
 // parking while the send buffer is full. The vector's storage transfers
-// to the stack and must not be mutated afterwards.
+// to the stack and must not be mutated afterwards. It is a one-shot of
+// the WriteCellVM machine.
 func (c *Conn) WriteVM(v iovec.Vec) core.M[core.Unit] {
-	var step func(rest iovec.Vec) core.M[core.Unit]
-	step = func(rest iovec.Vec) core.M[core.Unit] {
-		if rest.Empty() {
-			return core.Skip
-		}
-		return core.Bind(
-			core.NBIO(func() ioResult {
-				n, err := c.TryWriteV(rest)
-				return ioResult{n, err}
-			}),
-			func(r ioResult) core.M[core.Unit] {
-				if errors.Is(r.err, ErrWouldBlock) {
-					return core.Then(await(c.OnSendReady), step(rest))
-				}
-				if r.err != nil {
-					return core.Throw[core.Unit](r.err)
-				}
-				return step(rest.Drop(r.n))
-			},
-		)
+	if v.Empty() {
+		return core.Skip
 	}
-	return step(v)
+	return core.Then(c.writeCell(nil, v, false), core.Skip)
 }
 
 // WriteCellVM returns a computation that, each time its trace is forced,
-// queues all of the buffer *cell holds at that moment by reference via
-// the vectored send path — the defunctionalized sibling of WriteVM for
-// flattened state-machine callers (the httpd serve loop) that build the
-// M once per connection and re-enter its trace once per response. The
-// retry loop lives in a per-application state struct with one embedded
-// NBIONode and one pre-applied OnSendReady park trace, so steady-state
-// sends allocate no nodes; the emitted node sequence — one NBIO attempt
-// per partial transfer, a park plus a retry attempt per full buffer —
-// is exactly WriteVM's. *cell must be non-empty at entry, its storage
-// transfers to the stack (never mutate it afterwards), and the
-// delivered count is the total bytes queued.
+// queues all of the buffer *cell holds at that moment by reference and
+// delivers the total queued. It is the stack's one monadic send retry
+// loop: flattened callers (the httpd request machine) build the M once
+// per connection and re-enter its trace once per response, so
+// steady-state sends allocate no nodes. The node sequence is one NBIO
+// attempt per partial transfer and a park plus a retry attempt per full
+// send buffer. *cell must be non-empty at entry, and its storage
+// transfers to the stack (never mutate it afterwards).
 func (c *Conn) WriteCellVM(cell *[]byte) core.M[int] {
+	return c.writeCell(cell, iovec.Vec{}, false)
+}
+
+// writeCell applies the send state machine. A nil cell sends the
+// one-shot vector one; copyPrefix copies each accepted prefix (TryWrite)
+// instead of referencing it (TryWriteV).
+func (c *Conn) writeCell(cell *[]byte, one iovec.Vec, copyPrefix bool) core.M[int] {
 	return func(k func(int) core.Trace) core.Trace {
-		s := &writeCellState{c: c, cell: cell, k: k}
+		s := &writeCellState{c: c, cell: cell, one: one, copy: copyPrefix, k: k}
 		s.node.Effect = s.try
-		s.park = await(c.OnSendReady)(s.retry)
 		return &s.node
 	}
 }
 
 type writeCellState struct {
 	c      *Conn
-	cell   *[]byte
+	cell   *[]byte   // nil for a one-shot write of one
+	one    iovec.Vec // a one-shot caller's data
+	copy   bool
 	k      func(int) core.Trace
 	rest   iovec.Vec
 	total  int
 	active bool
 	node   core.NBIONode
-	park   core.Trace // await(OnSendReady) resuming into node
+	park   core.Trace // await(OnSendReady) resuming into node, built when first full
 }
 
 func (s *writeCellState) retry(core.Unit) core.Trace { return &s.node }
@@ -317,11 +288,18 @@ func (s *writeCellState) retry(core.Unit) core.Trace { return &s.node }
 func (s *writeCellState) try() core.Trace {
 	if !s.active {
 		s.active = true
-		s.rest = iovec.FromBytes(*s.cell)
-		s.total = len(*s.cell)
+		if s.cell != nil {
+			s.rest = iovec.FromBytes(*s.cell)
+		} else {
+			s.rest = s.one
+		}
+		s.total = s.rest.Len()
 	}
-	n, err := s.c.TryWriteV(s.rest)
+	n, err := s.c.tryWrite(s.rest, s.copy)
 	if errors.Is(err, ErrWouldBlock) {
+		if s.park == nil {
+			s.park = await(s.c.OnSendReady)(s.retry)
+		}
 		return s.park
 	}
 	if err != nil {

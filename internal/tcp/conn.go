@@ -981,47 +981,9 @@ func (c *Conn) OnRecvReady(cb func()) {
 }
 
 // TryWrite queues stream data for transmission, returning how much was
-// accepted. It returns ErrWouldBlock when the send buffer is full.
-func (c *Conn) TryWrite(p []byte) (int, error) {
-	defer c.s.enter()()
-	c.s.mu.Lock()
-	if c.err != nil {
-		err := c.err
-		c.s.mu.Unlock()
-		return 0, err
-	}
-	if c.finQueued || c.finSent {
-		c.s.mu.Unlock()
-		return 0, ErrClosed
-	}
-	switch c.state {
-	case StateEstablished, StateCloseWait, StateSynSent, StateSynRcvd:
-	default:
-		c.s.mu.Unlock()
-		return 0, ErrClosed
-	}
-	space := c.s.cfg.SendBuf - c.sndBuf.Len()
-	if space <= 0 {
-		c.s.mu.Unlock()
-		return 0, ErrWouldBlock
-	}
-	n := len(p)
-	if n > space {
-		n = space
-	}
-	// The one user-boundary copy: the caller may reuse p immediately.
-	// TryWriteV transfers ownership instead and skips even this copy.
-	cp := make([]byte, n)
-	copy(cp, p[:n])
-	c.sndBuf = c.sndBuf.Append(cp)
-	var wakes []func()
-	if c.state == StateEstablished || c.state == StateCloseWait {
-		wakes = c.trySendLocked()
-	}
-	c.s.mu.Unlock()
-	runAll(wakes)
-	return n, nil
-}
+// accepted. It returns ErrWouldBlock when the send buffer is full. The
+// accepted prefix is copied, so the caller may reuse p immediately.
+func (c *Conn) TryWrite(p []byte) (int, error) { return c.tryWrite(iovec.FromBytes(p), true) }
 
 // OnSendReady registers a one-shot callback for when TryWrite may accept
 // data again.
@@ -1093,7 +1055,13 @@ func (c *Conn) Abort() {
 // mutated afterwards. Like TryWrite it may accept a prefix, reporting how
 // many bytes were taken, and returns ErrWouldBlock when the send buffer
 // is full. This is the zero-copy entry point of §5.2.
-func (c *Conn) TryWriteV(v iovec.Vec) (int, error) {
+func (c *Conn) TryWriteV(v iovec.Vec) (int, error) { return c.tryWrite(v, false) }
+
+// tryWrite is the one send admission body: error, FIN and state checks,
+// the send-buffer space clamp, and the transmit attempt. copyPrefix
+// selects the user-boundary copy of the accepted prefix (TryWrite);
+// without it the stack references the caller's storage (TryWriteV).
+func (c *Conn) tryWrite(v iovec.Vec, copyPrefix bool) (int, error) {
 	defer c.s.enter()()
 	c.s.mu.Lock()
 	if c.err != nil {
@@ -1116,11 +1084,14 @@ func (c *Conn) TryWriteV(v iovec.Vec) (int, error) {
 		c.s.mu.Unlock()
 		return 0, ErrWouldBlock
 	}
-	n := v.Len()
-	if n > space {
-		n = space
+	n := min(v.Len(), space)
+	if copyPrefix {
+		cp := make([]byte, n)
+		v.Take(n).CopyTo(cp)
+		c.sndBuf = c.sndBuf.Append(cp)
+	} else {
+		c.sndBuf = c.sndBuf.Concat(v.Take(n))
 	}
-	c.sndBuf = c.sndBuf.Concat(v.Take(n))
 	var wakes []func()
 	if c.state == StateEstablished || c.state == StateCloseWait {
 		wakes = c.trySendLocked()
