@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 build vet test race race-smp determinism tcp-conformance mem-budget core-alloc tier2 stress overload-stress adversarial-smoke fuzz-smoke bench bench-smoke profile
+.PHONY: tier1 build vet test race race-smp determinism tcp-conformance mem-budget core-alloc tier2 stress overload-stress adversarial-smoke order-replay fuzz-smoke bench bench-smoke profile
 
 # tier1 is the repository's gate: everything must build, vet clean, and
 # pass tests, with the race detector over the concurrency-heavy packages.
@@ -21,7 +21,7 @@ race:
 		./internal/kernel/
 
 # race-smp repeats the race leg with GOMAXPROCS pinned to 4 so parallel
-# dispatch (sharded kernel, batched epoll, stealing deques, the clock's
+# dispatch (sharded kernel, epoll delivery, stealing deques, the clock's
 # epoch barrier) is exercised with real preemption interleavings even on
 # wide CI machines. The bench package is included since the epoch-barrier
 # clock: its determinism tests now assert reproducibility under real
@@ -92,10 +92,11 @@ core-alloc:
 # breaker, replayed for counter determinism), the seeded adversarial
 # smoke (a hostile fleet whose attack mode is drawn from the seed,
 # contesting a hardened slot-limited server against good clients,
-# replayed for shed/reap counter determinism), plus a short fuzz smoke
-# over every fuzz target. Failures print the seed to replay
+# replayed for shed/reap counter determinism), a 50-fold replay of the
+# clock and epoll ordering tests, plus a short fuzz smoke over every fuzz
+# target. Failures print the seed to replay
 # (STRESS_SEED=<seed> make stress / overload-stress / adversarial-smoke).
-tier2: stress overload-stress adversarial-smoke fuzz-smoke
+tier2: stress overload-stress adversarial-smoke order-replay fuzz-smoke
 
 stress:
 	$(GO) test -race -run 'Stress' -count=1 ./internal/core/
@@ -105,6 +106,14 @@ overload-stress:
 
 adversarial-smoke:
 	$(GO) test -race -run 'StressAdversarial' -count=1 -v ./internal/loadgen/
+
+# order-replay runs the virtual clock's and the kernel's ordering and
+# parallelism tests 50 times at GOMAXPROCS 1, 2 and 4, so a schedule-
+# dependent failure in either shows up here before it flakes tier-1.
+order-replay:
+	GOMAXPROCS=1 $(GO) test -count=50 -run 'Order|Parallelism|Concurrent' ./internal/vclock/ ./internal/kernel/
+	GOMAXPROCS=2 $(GO) test -count=50 -run 'Order|Parallelism|Concurrent' ./internal/vclock/ ./internal/kernel/
+	GOMAXPROCS=4 $(GO) test -count=50 -run 'Order|Parallelism|Concurrent' ./internal/vclock/ ./internal/kernel/
 
 fuzz-smoke:
 	$(GO) test -run FuzzParseRequest -fuzz FuzzParseRequest -fuzztime 5s ./internal/httpd/

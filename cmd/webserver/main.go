@@ -77,7 +77,6 @@ func main() {
 	rt := core.NewRuntime(core.Options{Workers: nw, WorkStealing: *stealing, Clock: clk})
 	defer rt.Shutdown()
 	io := hio.New(rt, k, fs)
-	defer io.Close()
 
 	scfg := httpd.ServerConfig{CacheBytes: *cacheMB << 20}
 	if *admit > 0 {

@@ -39,7 +39,6 @@ func main() {
 	rt := hybrid.NewRuntime(hybrid.Options{Workers: 2, Clock: clk})
 	defer rt.Shutdown()
 	io := hio.New(rt, k, nil)
-	defer io.Close()
 
 	// World state lives in STM: per-zone population counters that player
 	// threads update transactionally when they cross zone borders.

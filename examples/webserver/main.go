@@ -40,7 +40,6 @@ func run(name string, useApache bool) float64 {
 	rt := core.NewRuntime(core.Options{Workers: 1, Clock: clk})
 	defer rt.Shutdown()
 	io := hio.New(rt, k, fs)
-	defer io.Close()
 
 	if useApache {
 		nrt := nptl.New(k, fs, nptl.Config{StackTouch: -1})

@@ -71,7 +71,6 @@ func connMemPhase(conns int, active bool) float64 {
 	rt := core.NewRuntime(core.Options{Workers: 1, Clock: clk})
 	defer rt.Shutdown()
 	io := hio.New(rt, k, fs)
-	defer io.Close()
 
 	// Parked connections finish one small response; active ones stall
 	// inside a response bigger than the socket buffer's logical capacity.

@@ -115,7 +115,6 @@ func fig17Stats(cfg Fig17Config, threads int, sched disk.Scheduler, supervised b
 	rt := core.NewRuntime(core.Options{Workers: 1, Clock: clk, TrapPanics: supervised})
 	defer rt.Shutdown()
 	io := hio.New(rt, k, fs)
-	defer io.Close()
 	var in *faults.Injector
 	if cfg.Faults.Active() {
 		in = faults.New(*cfg.Faults, clk)

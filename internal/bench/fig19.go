@@ -163,7 +163,6 @@ func Fig19Hybrid(cfg Fig19Config, conns int) float64 {
 func Fig19HybridStats(cfg Fig19Config, conns int) (float64, stats.Snapshot) {
 	clk, k, fs, rt, io := fig19Site(cfg)
 	defer rt.Shutdown()
-	defer io.Close()
 	scfg := httpd.ServerConfig{
 		CacheBytes: cfg.CacheBytes,
 		ChunkBytes: int(cfg.FileBytes),
@@ -214,7 +213,6 @@ type Fig19Perf struct {
 func Fig19HybridPerf(cfg Fig19Config, conns int) Fig19Perf {
 	clk, k, fs, rt, io := fig19Site(cfg)
 	defer rt.Shutdown()
-	defer io.Close()
 	scfg := httpd.ServerConfig{
 		CacheBytes: cfg.CacheBytes,
 		ChunkBytes: int(cfg.FileBytes),
@@ -245,7 +243,6 @@ func Fig19HybridPerf(cfg Fig19Config, conns int) Fig19Perf {
 func Fig19Apache(cfg Fig19Config, conns int) float64 {
 	clk, k, fs, rt, io := fig19Site(cfg)
 	defer rt.Shutdown()
-	defer io.Close()
 	nrt := nptl.New(k, fs, nptl.Config{MemoryBudget: 512 << 20, StackTouch: -1})
 	ap := httpd.NewApacheLike(nrt, k, fs, httpd.ApacheConfig{
 		PageCacheBytes: cfg.CacheBytes,

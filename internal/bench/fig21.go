@@ -141,7 +141,6 @@ func Fig21Run(cfg Fig21Config, mode string, defended bool) Fig21Point {
 	rt := core.NewRuntime(core.Options{Workers: 1, Clock: clk})
 	defer rt.Shutdown()
 	io := hio.New(rt, k, fs)
-	defer io.Close()
 
 	scfg := httpd.ServerConfig{
 		CacheBytes: cfg.CacheBytes,

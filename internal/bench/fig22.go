@@ -142,7 +142,6 @@ func Fig22Run(cfg Fig22Config, conns int) Fig22Point {
 	rt := core.NewRuntime(core.Options{Workers: 1, Clock: clk})
 	defer rt.Shutdown()
 	io := hio.New(rt, k, fs)
-	defer io.Close()
 
 	srv := httpd.NewServer(io, httpd.ServerConfig{
 		CacheBytes: cfg.CacheBytes,

@@ -83,7 +83,6 @@ func benchServe(b *testing.B, cfg httpd.ServerConfig, files int) {
 	rt := core.NewRuntime(core.Options{Workers: 1, Clock: clk})
 	defer rt.Shutdown()
 	io := hio.New(rt, k, fs)
-	defer io.Close()
 	srv := httpd.NewServer(io, cfg)
 
 	reqs := make([][]byte, files)

@@ -49,7 +49,6 @@ type OverloadRun struct {
 func Fig19Overload(cfg Fig19Config, conns, offeredX int, protected bool) OverloadRun {
 	clk, k, fs, rt, io := fig19Site(cfg)
 	defer rt.Shutdown()
-	defer io.Close()
 	scfg := httpd.ServerConfig{
 		CacheBytes: cfg.CacheBytes,
 		ChunkBytes: int(cfg.FileBytes),
@@ -100,7 +99,7 @@ func Fig19Overload(cfg Fig19Config, conns, offeredX int, protected bool) Overloa
 		Seed:              cfg.Seed,
 		RTT:               cfg.RTT,
 		Bandwidth:         cfg.Bandwidth,
-		MeasureLatency: true,
+		MeasureLatency:    true,
 		// Refused connects retry for a long time (the schedule caps at
 		// 100× the base): under admission control the whole excess wave
 		// must eventually fit through the capacity point.

@@ -48,7 +48,6 @@ type ScalingPoint struct {
 func fig19ScaleRun(cfg Fig19Config, conns int) (virtMBps float64, bytes uint64, wall time.Duration, snap stats.Snapshot) {
 	clk, k, fs, rt, io := fig19Site(cfg)
 	defer rt.Shutdown()
-	defer io.Close()
 	srv := httpd.NewServer(io, httpd.ServerConfig{
 		CacheBytes: cfg.CacheBytes,
 		ChunkBytes: int(cfg.FileBytes),

@@ -58,7 +58,7 @@ func TestFig19ScalingWorker1Deterministic(t *testing.T) {
 	}
 }
 
-// Stealing mode exercises the per-worker-deque pushBatch path end to end.
+// Stealing mode exercises the per-worker deques end to end.
 func TestFig19ScalingStealingSmoke(t *testing.T) {
 	cfg := Fig19Quick()
 	cfg.TotalRequests = 128

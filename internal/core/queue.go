@@ -31,11 +31,6 @@ type readyQueue interface {
 	// (locality for batch-exhausted threads); the shared queue ignores
 	// the hint. Same rejection contract as push.
 	pushLocal(worker int, t *TCB) bool
-	// pushBatch appends a batch of runnable threads under one lock
-	// acquisition, waking at most one blocked worker per thread (targeted
-	// Signal, never Broadcast). All-or-none: a closed queue rejects the
-	// whole batch and the caller accounts for every thread.
-	pushBatch(ts []*TCB) bool
 	// pop removes a thread for the given worker, blocking until one is
 	// available. stolen reports that the thread came from another
 	// worker's deque. It returns ok=false once the queue is closed and
@@ -68,13 +63,12 @@ type parkFlag struct {
 // ---------------------------------------------------------------------------
 
 type sharedQueue struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	ring    []*TCB
-	head    int
-	count   int
-	waiting int // workers blocked in pop, for targeted batch signaling
-	closed  bool
+	mu     sync.Mutex
+	cond   *sync.Cond
+	ring   []*TCB
+	head   int
+	count  int
+	closed bool
 
 	// Virtual-clock binding (nil for the blio pool and real-clock runs).
 	vc      *vclock.VirtualClock
@@ -125,30 +119,6 @@ func (q *sharedQueue) push(t *TCB) bool {
 // pushLocal ignores the affinity hint: there is only one queue.
 func (q *sharedQueue) pushLocal(_ int, t *TCB) bool { return q.push(t) }
 
-// pushBatch appends every thread under one lock acquisition and signals
-// once per thread, capped at the number of blocked workers.
-func (q *sharedQueue) pushBatch(ts []*TCB) bool {
-	if len(ts) == 0 {
-		return true
-	}
-	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		return false
-	}
-	for _, t := range ts {
-		q.grow()
-		q.ring[(q.head+q.count)%len(q.ring)] = t
-		q.count++
-	}
-	sig := min(len(ts), q.waiting)
-	q.mu.Unlock()
-	for i := 0; i < sig; i++ {
-		q.cond.Signal()
-	}
-	return true
-}
-
 // grow doubles the ring when full. Called with q.mu held.
 func (q *sharedQueue) grow() {
 	if q.count < len(q.ring) {
@@ -167,9 +137,7 @@ func (q *sharedQueue) pop(worker int) (*TCB, bool, bool) {
 	if q.vc == nil {
 		// Classic path: blio pool and real-clock runtimes.
 		for q.count == 0 && !q.closed {
-			q.waiting++
 			q.cond.Wait()
-			q.waiting--
 		}
 		if q.count == 0 {
 			q.mu.Unlock()
@@ -214,9 +182,7 @@ func (q *sharedQueue) pop(worker int) (*TCB, bool, bool) {
 			q.nparked--
 			continue
 		}
-		q.waiting++
 		q.cond.Wait()
-		q.waiting--
 		q.parked[worker].parked = false
 		q.nparked--
 	}
@@ -259,13 +225,12 @@ func (q *sharedQueue) size() int {
 // ---------------------------------------------------------------------------
 
 type stealingQueue struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	deques  [][]*TCB
-	rr      int
-	total   int
-	waiting int // workers blocked in pop, for targeted batch signaling
-	closed  bool
+	mu     sync.Mutex
+	cond   *sync.Cond
+	deques [][]*TCB
+	rr     int
+	total  int
+	closed bool
 
 	// Virtual-clock binding (nil on real-clock runs).
 	vc      *vclock.VirtualClock
@@ -353,33 +318,6 @@ func (q *stealingQueue) pushLocal(worker int, t *TCB) bool {
 	return q.pushLocalSlow(w, t)
 }
 
-// pushBatch spreads the batch round-robin across the deques under one
-// lock acquisition — the epoll harvest loop lands a whole poll round of
-// unblocked threads here in one push — and wakes at most one blocked
-// worker per thread.
-func (q *stealingQueue) pushBatch(ts []*TCB) bool {
-	if len(ts) == 0 {
-		return true
-	}
-	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		return false
-	}
-	for _, t := range ts {
-		i := q.rr % len(q.deques)
-		q.rr++
-		q.deques[i] = append(q.deques[i], t)
-	}
-	q.total += len(ts)
-	sig := min(len(ts), q.waiting)
-	q.mu.Unlock()
-	for i := 0; i < sig; i++ {
-		q.cond.Signal()
-	}
-	return true
-}
-
 // pushLocalSlow appends to the worker's deque under the lock: the slot was
 // occupied or being flushed for fairness. Reports false when closed.
 func (q *stealingQueue) pushLocalSlow(w int, t *TCB) bool {
@@ -449,16 +387,12 @@ func (q *stealingQueue) pop(worker int) (*TCB, bool, bool) {
 					q.nparked--
 					continue
 				}
-				q.waiting++
 				q.cond.Wait()
-				q.waiting--
 				q.parked[w].parked = false
 				q.nparked--
 				continue
 			}
-			q.waiting++
 			q.cond.Wait()
-			q.waiting--
 			continue
 		}
 		// Own deque first (FIFO for round-robin fairness within a worker)…

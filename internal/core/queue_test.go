@@ -166,20 +166,17 @@ func TestQueueDepthVisible(t *testing.T) {
 // Parallel stress (run with -race; `make stress` picks these up by name)
 // ---------------------------------------------------------------------------
 
-// Eight workers pop and re-push locally while producers push singles and
-// batches from outside: every path into the stealing queue — push,
-// pushLocal (owner slot and slow path), pushBatch, pop, steal — runs
-// concurrently. The invariant is conservation: every produced thread is
+// Eight workers pop and re-push locally while producers push from
+// outside: every path into the stealing queue — push, pushLocal (owner
+// slot and slow path), pop, steal — runs concurrently. The invariant is conservation: every produced thread is
 // eventually consumed exactly once (re-pushed threads once more).
 func TestStealingQueueParallelStress(t *testing.T) {
 	const (
 		workers     = 8
-		producers   = 4
+		producers   = 5
 		perProducer = 500
-		batches     = 64
-		batchSize   = 8
 	)
-	total := producers*perProducer + batches*batchSize
+	total := producers * perProducer
 	q := newStealingQueue(workers)
 
 	repushed := make([]atomic.Bool, total+1)
@@ -218,21 +215,6 @@ func TestStealingQueueParallelStress(t *testing.T) {
 			}
 		}()
 	}
-	base := producers * perProducer
-	prod.Add(1)
-	go func() {
-		defer prod.Done()
-		for b := 0; b < batches; b++ {
-			ts := make([]*TCB, batchSize)
-			for i := range ts {
-				ts[i] = &TCB{id: uint64(base + b*batchSize + i + 1)}
-			}
-			if !q.pushBatch(ts) {
-				t.Error("pushBatch rejected while open")
-				return
-			}
-		}
-	}()
 	prod.Wait()
 	waitFor(t, func() bool { return consumed.Load() == int64(total) })
 	q.close()
@@ -242,14 +224,13 @@ func TestStealingQueueParallelStress(t *testing.T) {
 	}
 }
 
-// The shared queue's pushBatch under the same parallel load.
-func TestSharedQueuePushBatchParallelStress(t *testing.T) {
+// The shared queue under the same parallel load: eight poppers, one
+// producer, every thread consumed exactly once.
+func TestSharedQueueParallelStress(t *testing.T) {
 	const (
-		workers   = 8
-		batches   = 200
-		batchSize = 16
+		workers = 8
+		total   = 3200
 	)
-	total := batches * batchSize
 	q := newSharedQueue()
 	var consumed atomic.Int64
 	var wg sync.WaitGroup
@@ -266,67 +247,12 @@ func TestSharedQueuePushBatchParallelStress(t *testing.T) {
 			}
 		}()
 	}
-	for b := 0; b < batches; b++ {
-		ts := mkTCBs(batchSize)
-		if !q.pushBatch(ts) {
-			t.Fatal("pushBatch rejected while open")
+	for _, tcb := range mkTCBs(total) {
+		if !q.push(tcb) {
+			t.Fatal("push rejected while open")
 		}
 	}
 	waitFor(t, func() bool { return consumed.Load() == int64(total) })
 	q.close()
 	wg.Wait()
-}
-
-// pushBatch after close must reject the whole batch (all-or-none), on
-// both queue kinds.
-func TestPushBatchOnClosedQueue(t *testing.T) {
-	sq := newSharedQueue()
-	sq.close()
-	if sq.pushBatch(mkTCBs(3)) {
-		t.Fatal("sharedQueue.pushBatch accepted after close")
-	}
-	st := newStealingQueue(2)
-	st.close()
-	if st.pushBatch(mkTCBs(3)) {
-		t.Fatal("stealingQueue.pushBatch accepted after close")
-	}
-}
-
-// A Batch staged through SuspendB resumes land on the scheduler in one
-// flush; every staged thread must run to completion.
-func TestBatchFlushResumesThreads(t *testing.T) {
-	rt := NewRuntime(Options{Workers: 2})
-	defer rt.Shutdown()
-	const n = 16
-	var mu sync.Mutex
-	resumes := make([]func(int, *Batch), 0, n)
-	var ran atomic.Int64
-	for i := 0; i < n; i++ {
-		rt.Spawn(Bind(
-			SuspendB(func(resume func(int, *Batch)) {
-				mu.Lock()
-				resumes = append(resumes, resume)
-				mu.Unlock()
-			}),
-			func(int) M[Unit] { ran.Add(1); return Skip },
-		))
-	}
-	waitFor(t, func() bool { mu.Lock(); defer mu.Unlock(); return len(resumes) == n })
-	b := rt.NewBatch()
-	mu.Lock()
-	for i, r := range resumes {
-		r(i, b)
-	}
-	mu.Unlock()
-	if b.Len() != n {
-		t.Fatalf("staged %d threads, want %d", b.Len(), n)
-	}
-	b.Flush()
-	if b.Len() != 0 {
-		t.Fatalf("batch not empty after flush: %d", b.Len())
-	}
-	rt.WaitIdle()
-	if got := ran.Load(); got != n {
-		t.Fatalf("%d threads ran, want %d", got, n)
-	}
 }

@@ -108,8 +108,6 @@ type schedMetrics struct {
 	blioSubmit *stats.Counter   // effects handed to the blocking-I/O pool
 	blioInline *stats.Counter   // blio effects run inline (no pool)
 	blioDepth  *stats.Histogram // blio queue depth sampled at submit
-	flushes    *stats.Counter   // non-empty Batch.Flush calls
-	flushSize  *stats.Histogram // threads re-enqueued per flush
 
 	workerDispatches []*stats.Counter // per worker_main loop
 	workerSteals     []*stats.Counter
@@ -134,8 +132,6 @@ func newSchedMetrics(r *stats.Registry, workers int) *schedMetrics {
 		blioSubmit: r.Counter("blio_submits"),
 		blioInline: r.Counter("blio_inline"),
 		blioDepth:  r.Histogram("blio_depth", stats.PowersOfTwo(1<<16)...),
-		flushes:    r.Counter("batch_flushes"),
-		flushSize:  r.Histogram("flush_size", stats.PowersOfTwo(4096)...),
 	}
 	for i := 0; i < workers; i++ {
 		m.workerDispatches = append(m.workerDispatches,
@@ -278,52 +274,6 @@ func (rt *Runtime) enqueueLocal(worker int, tcb *TCB) {
 	if !rt.ready.pushLocal(worker, tcb) {
 		rt.discard(tcb)
 	}
-}
-
-// Batch accumulates threads made runnable by one event-harvest round so
-// they reach the ready queue in a single pushBatch — one lock acquisition
-// and at most one targeted Signal per thread, instead of a lock+signal per
-// resume. Event loops create one with NewBatch, pass it to SuspendB
-// resumes as they dispatch a poll round, and Flush at the end of the
-// round. A Batch is single-goroutine state; it must not be shared.
-type Batch struct {
-	rt   *Runtime
-	tcbs []*TCB
-}
-
-// NewBatch returns an empty re-enqueue batch for this runtime.
-func (rt *Runtime) NewBatch() *Batch { return &Batch{rt: rt} }
-
-// add stages a resumed thread. Batches are filled inside event-loop
-// callbacks, which run while the clock is pinned (a dispatch batch in the
-// virtual domain, a kernel-held event in the queued one), so staged
-// threads need no hold of their own.
-func (b *Batch) add(tcb *TCB) {
-	b.tcbs = append(b.tcbs, tcb)
-}
-
-// Len reports staged threads (diagnostics and tests).
-func (b *Batch) Len() int { return len(b.tcbs) }
-
-// Flush lands every staged thread on the ready queue in one push. If the
-// queue closed in the meantime, each thread is discarded with the same
-// accounting as a rejected enqueue. The batch is empty afterwards and may
-// be reused.
-func (b *Batch) Flush() {
-	if len(b.tcbs) == 0 {
-		return
-	}
-	b.rt.m.flushes.Inc()
-	b.rt.m.flushSize.Observe(int64(len(b.tcbs)))
-	if !b.rt.ready.pushBatch(b.tcbs) {
-		for _, t := range b.tcbs {
-			b.rt.discard(t)
-		}
-	}
-	for i := range b.tcbs {
-		b.tcbs[i] = nil
-	}
-	b.tcbs = b.tcbs[:0]
 }
 
 // discard accounts for a thread rejected by a closed queue: any
@@ -617,34 +567,16 @@ func (rt *Runtime) interpret(worker int, tcb *TCB) (used int, retired bool) {
 			// which equally pins the clock.
 			rt.m.parks.Inc()
 			id := tcb.id
-			if n.ParkB != nil {
-				// Batch-aware park: the resume may carry the event loop's
-				// current Batch, staging the thread for a single pushBatch
-				// at the end of the poll round instead of enqueueing now.
-				n.ParkB(func(next Trace, b *Batch) {
-					if tcb.id != id {
-						return
-					}
-					rt.m.resumes.Inc()
-					tcb.trace = next
-					if b != nil {
-						b.add(tcb)
-					} else {
-						rt.enqueue(tcb)
-					}
-				})
-			} else {
-				n.Park(func(next Trace) {
-					if tcb.id != id {
-						// Stale resume from a buggy event source: the thread
-						// already died and its TCB was recycled for another.
-						return
-					}
-					rt.m.resumes.Inc()
-					tcb.trace = next
-					rt.enqueue(tcb)
-				})
-			}
+			n.Park(func(next Trace) {
+				if tcb.id != id {
+					// Stale resume from a buggy event source: the thread
+					// already died and its TCB was recycled for another.
+					return
+				}
+				rt.m.resumes.Inc()
+				tcb.trace = next
+				rt.enqueue(tcb)
+			})
 			return used, false
 
 		case *BlioNode:

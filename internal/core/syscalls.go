@@ -160,26 +160,6 @@ func Suspend[A any](register func(resume func(A))) M[A] {
 	}
 }
 
-// SuspendB is Suspend for event sources that deliver wakeups in batches:
-// the registered resume additionally accepts the event loop's current
-// *Batch, staging the thread for one coalesced ready-queue push per poll
-// round rather than an enqueue per event. Pass nil when no batch is in
-// flight (a delayed or out-of-band wakeup) and the thread enqueues
-// immediately, exactly as with Suspend.
-func SuspendB[A any](register func(resume func(A, *Batch))) M[A] {
-	return func(k func(A) Trace) Trace {
-		return &SuspendNode{ParkB: func(resume func(Trace, *Batch)) {
-			var done atomic.Bool
-			register(func(a A, b *Batch) {
-				if !done.CompareAndSwap(false, true) {
-					panic("core: Suspend resumed twice")
-				}
-				resume(k(a), b)
-			})
-		}}
-	}
-}
-
 // Blio performs a blocking effect on the runtime's blocking-I/O thread
 // pool (the paper's sys_blio, §4.6), so worker event loops are never
 // stalled by synchronous OS interfaces.

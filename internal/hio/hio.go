@@ -1,10 +1,14 @@
 // Package hio (hybrid I/O) plugs the simulated kernel's asynchronous I/O
 // interfaces into the monadic runtime, following §4.5 of the paper: the
-// sys_epoll_wait and sys_aio_read system calls, a dedicated worker_epoll
-// event loop that harvests readiness events and feeds the scheduler's
-// ready queue, and the library of blocking-style wrappers (sock_accept,
-// sock_send, …, Figure 10) that hide the nonblocking retry loops from
-// application threads.
+// sys_epoll_wait and sys_aio_read system calls, and the library of
+// blocking-style wrappers (sock_accept, sock_send, …, Figure 10) that hide
+// the nonblocking retry loops from application threads.
+//
+// The paper's worker_epoll loop (Figure 16) harvests readiness events and
+// writes each parked thread to the scheduler's ready queue. Here the epoll
+// device calls the parked thread's resume at the point of readiness, so
+// the thread reaches the ready queue directly and no event-loop goroutine
+// exists, on virtual and real clocks alike.
 package hio
 
 import (
@@ -16,41 +20,25 @@ import (
 )
 
 // IO binds a monadic runtime to a kernel instance. One IO owns one epoll
-// device and one worker_epoll loop; a program may create several to
-// partition event sources, exactly as the paper's Figure 14 shows multiple
-// event loops around the scheduler.
+// device; a program may create several to partition event sources, as the
+// paper's Figure 14 shows multiple event loops around the scheduler.
 type IO struct {
 	rt *core.Runtime
 	k  *kernel.Kernel
 	fs *kernel.FS
 	ep *kernel.Epoll
-
-	// immediate: the kernel runs on a virtual clock, so the epoll device
-	// dispatches readiness resumes synchronously — at the point the
-	// readiness arises or inside the clock's (when, seq)-ordered event
-	// batch — and no worker_epoll goroutine exists. This removes the one
-	// host-scheduled actor from virtual-time runs, which is what makes
-	// figure output reproducible at GOMAXPROCS>1.
-	immediate bool
 }
 
-// New starts an IO layer: it creates an epoll device on k and, in the
-// wall-clock domain, launches the worker_epoll harvest loop. fs may be
-// nil if no file I/O is used.
+// New creates an IO layer with its own epoll device on k. fs may be nil
+// if no file I/O is used.
 func New(rt *core.Runtime, k *kernel.Kernel, fs *kernel.FS) *IO {
-	io := &IO{rt: rt, k: k, fs: fs, ep: k.NewEpoll()}
-	if _, virtual := k.Clock().(*vclock.VirtualClock); virtual {
-		io.immediate = true
-		io.ep.SetImmediate()
-	} else {
-		go io.workerEpoll()
-	}
-	return io
+	return &IO{rt: rt, k: k, fs: fs, ep: k.NewEpoll()}
 }
 
-// Close shuts down the epoll loop. Threads still parked in EpollWait are
-// never resumed; drain the runtime first.
-func (io *IO) Close() { io.ep.Close() }
+// Close does nothing: the IO layer holds no goroutine or queue of its own.
+// It is kept for callers that close what they create. Threads still parked
+// in EpollWait stay parked until their descriptor becomes ready.
+func (io *IO) Close() {}
 
 // Kernel reports the bound kernel.
 func (io *IO) Kernel() *kernel.Kernel { return io.k }
@@ -63,37 +51,6 @@ func (io *IO) Runtime() *core.Runtime { return io.rt }
 
 // Clock reports the kernel's timing domain.
 func (io *IO) Clock() vclock.Clock { return io.k.Clock() }
-
-// workerEpoll is the paper's Figure 16: wait for epoll events and, for
-// each thread object in the results, write it to the scheduler's ready
-// queue. The whole poll round is staged into one Batch so the unblocked
-// threads land on the ready queue in a single push with targeted worker
-// wakeups, instead of a queue lock + signal per event.
-func (io *IO) workerEpoll() {
-	b := io.rt.NewBatch()
-	for {
-		events, ok := io.ep.Wait()
-		for _, ev := range events {
-			switch resume := ev.Data.(type) {
-			case func(kernel.Event, *core.Batch):
-				resume(ev.Events, b)
-			case func(kernel.Event):
-				resume(ev.Events)
-			}
-		}
-		// Flush before Done: each event's busy hold is still held while
-		// its thread sits staged (Batch.add took the enqueue-side hold), so
-		// releasing the delivery holds afterwards keeps virtual time pinned
-		// throughout the handoff.
-		b.Flush()
-		for range events {
-			io.ep.Done()
-		}
-		if !ok {
-			return
-		}
-	}
-}
 
 // result pairs a value with an error for transport through Suspend, which
 // carries a single type.
@@ -112,31 +69,18 @@ func throwResult[A any](r result[A]) core.M[A] {
 }
 
 // EpollWait blocks the thread until fd is ready for one of the events in
-// mask, returning the events that fired (the paper's sys_epoll_wait).
+// mask, returning the events that fired (the paper's sys_epoll_wait). The
+// epoll device resumes the thread at readiness, so it lands on the ready
+// queue in the order readiness arose (or, for delayed events, in the
+// clock's (when, seq) order).
 func (io *IO) EpollWait(fd kernel.FD, mask kernel.Event) core.M[kernel.Event] {
-	if io.immediate {
-		// Immediate-mode epoll invokes the registered func(Event)
-		// synchronously at readiness; the resume enqueues the thread
-		// directly (no harvest batch exists to stage into).
-		return core.Bind(
-			core.SuspendB(func(resume func(result[kernel.Event], *core.Batch)) {
-				err := io.ep.Register(fd, mask, func(ev kernel.Event) {
-					resume(result[kernel.Event]{val: ev}, nil)
-				})
-				if err != nil {
-					resume(result[kernel.Event]{err: err}, nil)
-				}
-			}),
-			throwResult,
-		)
-	}
 	return core.Bind(
-		core.SuspendB(func(resume func(result[kernel.Event], *core.Batch)) {
-			err := io.ep.Register(fd, mask, func(ev kernel.Event, b *core.Batch) {
-				resume(result[kernel.Event]{val: ev}, b)
+		core.Suspend(func(resume func(result[kernel.Event])) {
+			err := io.ep.Register(fd, mask, func(ev kernel.Event) {
+				resume(result[kernel.Event]{val: ev})
 			})
 			if err != nil {
-				resume(result[kernel.Event]{err: err}, nil)
+				resume(result[kernel.Event]{err: err})
 			}
 		}),
 		throwResult,

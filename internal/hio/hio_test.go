@@ -8,6 +8,7 @@ import (
 
 	"hybrid/internal/core"
 	"hybrid/internal/disk"
+	"hybrid/internal/faults"
 	"hybrid/internal/kernel"
 	"hybrid/internal/vclock"
 )
@@ -30,10 +31,7 @@ func newRig(t *testing.T, clk vclock.Clock, workers int) *rig {
 	fs := kernel.NewFS(d)
 	rt := core.NewRuntime(core.Options{Workers: workers, Clock: clk})
 	io := New(rt, k, fs)
-	t.Cleanup(func() {
-		io.Close()
-		rt.Shutdown()
-	})
+	t.Cleanup(rt.Shutdown)
 	return &rig{rt: rt, k: k, fs: fs, io: io}
 }
 
@@ -64,6 +62,61 @@ func TestEpollWaitWakesOnData(t *testing.T) {
 	if got.Load() != 1 {
 		t.Fatal("thread did not wake on readiness")
 	}
+}
+
+// An injected epoll.delay postpones a parked EpollWait's resume by the
+// drawn delay, and the thread still resumes exactly once. On a virtual
+// clock the resume lands exactly that much virtual time after the write;
+// on a real clock it comes from the clock's timer goroutine.
+func TestEpollWaitDelayedReadinessResumesOnce(t *testing.T) {
+	cfg := faults.Config{Seed: 7, OneShots: map[faults.Op][]uint64{faults.EpollDelay: {1}}}
+	run := func(t *testing.T, clk vclock.Clock) (resumedAt vclock.Time) {
+		r := newRig(t, clk, 1)
+		in := faults.New(cfg, clk)
+		r.k.SetFaults(in)
+		rfd, wfd := r.k.NewPipe(0)
+		var resumes atomic.Int64
+		var at atomic.Int64
+		r.rt.Spawn(core.Bind(r.io.EpollWait(rfd, kernel.EventRead), func(kernel.Event) core.M[core.Unit] {
+			return core.Do(func() {
+				resumes.Add(1)
+				at.Store(int64(clk.Now()))
+			})
+		}))
+		r.rt.Spawn(core.Do(func() {
+			if _, err := r.k.Write(wfd, []byte("x")); err != nil {
+				t.Error(err)
+			}
+		}))
+		r.rt.WaitIdle()
+		time.Sleep(2 * time.Millisecond) // past the largest delay: no second resume
+		if n := resumes.Load(); n != 1 {
+			t.Fatalf("thread resumed %d times, want 1", n)
+		}
+		if n := in.Injected(faults.EpollDelay); n != 1 {
+			t.Fatalf("epoll delays injected = %d, want 1", n)
+		}
+		if n := r.rt.Stats().Snapshot().Counter("resumes"); n != 1 {
+			t.Fatalf("scheduler resumes = %d, want 1", n)
+		}
+		return vclock.Time(at.Load())
+	}
+	t.Run("virtual", func(t *testing.T) {
+		// The kernel draws the delay at the write, at virtual time zero,
+		// bounded by its 1ms maximum; an injector with no clock reads time
+		// zero too, so it draws the same delay.
+		want := faults.New(cfg, nil).Latency(faults.EpollDelay, time.Millisecond)
+		if got := run(t, vclock.NewVirtual()); time.Duration(got) != want || want <= 0 {
+			t.Fatalf("resumed at virtual %v, want the injected delay %v", time.Duration(got), want)
+		}
+	})
+	t.Run("real", func(t *testing.T) {
+		clk := vclock.NewReal()
+		start := clk.Now()
+		if got := run(t, clk); got <= start {
+			t.Fatalf("resumed at %d, not after the start %d", got, start)
+		}
+	})
 }
 
 func TestEpollWaitBadFDThrows(t *testing.T) {
@@ -473,17 +526,14 @@ func TestSockReadFullStopsAtEOF(t *testing.T) {
 
 func TestMultipleEventLoopsPartitionSources(t *testing.T) {
 	// Figure 14 shows several event loops around one scheduler. Two IO
-	// layers on the same kernel each run their own epoll device and
-	// worker_epoll loop; threads waiting through either are woken
-	// independently.
+	// layers on the same kernel each run their own epoll device; threads
+	// waiting through either are woken independently.
 	clk := vclock.NewReal()
 	k := kernel.New(clk)
 	rt := core.NewRuntime(core.Options{Workers: 2, Clock: clk})
 	defer rt.Shutdown()
 	io1 := New(rt, k, nil)
-	defer io1.Close()
 	io2 := New(rt, k, nil)
-	defer io2.Close()
 
 	r1, w1 := k.NewPipe(0)
 	r2, w2 := k.NewPipe(0)

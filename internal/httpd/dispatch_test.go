@@ -79,10 +79,7 @@ func serveOneConn(t *testing.T, dc dispatchCase) (uint64, []byte) {
 	}
 	rt := core.NewRuntime(core.Options{Workers: 1, BatchSteps: 1, BlioWorkers: core.BlioInline, Clock: clk})
 	io := hio.New(rt, k, fs)
-	defer func() {
-		io.Close()
-		rt.Shutdown()
-	}()
+	defer rt.Shutdown()
 	cfg := dc.cfg
 	cfg.CacheBytes = 1 << 20
 	cfg.ChunkBytes = 8192

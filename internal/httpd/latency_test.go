@@ -33,7 +33,6 @@ func TestServerOverTCPLatencyTrace(t *testing.T) {
 	rt := core.NewRuntime(core.Options{Workers: 1, Clock: clk})
 	defer rt.Shutdown()
 	io := hio.New(rt, k, fs)
-	defer io.Close()
 	srv := httpd.NewServer(io, httpd.ServerConfig{CacheBytes: 1 << 20})
 	l, _ := stackS.Listen(80)
 	rt.Spawn(srv.ServeTCP(l))

@@ -366,10 +366,7 @@ func TestLifecycleOverTCPStackShedsIdle(t *testing.T) {
 	}
 	rt := core.NewRuntime(core.Options{Workers: 1, Clock: clk})
 	io := hio.New(rt, k, fs)
-	defer func() {
-		io.Close()
-		rt.Shutdown()
-	}()
+	defer rt.Shutdown()
 
 	srv := httpd.NewServer(io, httpd.ServerConfig{
 		Lifecycle: &httpd.LifecycleConfig{IdleTimeout: 10 * time.Millisecond},

@@ -31,10 +31,7 @@ func TestSupervisedConnPanicIsIsolatedAndReleasesSlot(t *testing.T) {
 	fs := kernel.NewFS(disk.New(clk, disk.DefaultGeometry()))
 	rt := core.NewRuntime(core.Options{Workers: 1, Clock: clk, TrapPanics: true})
 	io := hio.New(rt, k, fs)
-	defer func() {
-		io.Close()
-		rt.Shutdown()
-	}()
+	defer rt.Shutdown()
 
 	srv := NewServer(io, ServerConfig{
 		Overload: &OverloadConfig{MaxConns: 1, SuperviseConns: true},

@@ -208,10 +208,7 @@ func TestTCPTransportStreamsLargeFileIntact(t *testing.T) {
 	}
 	rt := core.NewRuntime(core.Options{Workers: 1, Clock: clk})
 	io := hio.New(rt, k, fs)
-	defer func() {
-		io.Close()
-		rt.Shutdown()
-	}()
+	defer rt.Shutdown()
 	srv := httpd.NewServer(io, httpd.ServerConfig{CacheBytes: size / 2, ChunkBytes: 4096})
 	l, err := stackS.Listen(80)
 	if err != nil {

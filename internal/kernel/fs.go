@@ -123,11 +123,13 @@ func (f *File) contentsAt(p []byte, off int64) int {
 }
 
 // PatternByte is the deterministic content of pattern-backed files: the
-// byte of file name at absolute offset off.
+// byte of file name at absolute offset off. The name byte is mixed into
+// the byte that is returned, so files with different names differ, and a
+// reader served the wrong file at the right offset can tell.
 func PatternByte(name string, off int64) byte {
 	h := uint64(off) * 0x9E3779B97F4A7C15
 	if len(name) > 0 {
-		h ^= uint64(name[int(uint64(off)%uint64(len(name)))])
+		h ^= uint64(name[int(uint64(off)%uint64(len(name)))]) << 56
 	}
 	return byte(h >> 56)
 }

@@ -3,6 +3,7 @@ package kernel
 import (
 	"bytes"
 	"errors"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -198,51 +199,40 @@ func TestEpollImmediateReadiness(t *testing.T) {
 	if _, err := k.Write(w, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	ep := k.NewEpoll()
-	if err := ep.Register(r, EventRead, "tag"); err != nil {
-		t.Fatal(err)
-	}
-	evs := ep.TryWait()
-	if len(evs) != 1 || evs[0].FD != r || evs[0].Data != "tag" {
+	// Already ready: the callback runs before Register returns.
+	rec := record(t, k, r, EventRead)
+	evs := rec.take()
+	if len(evs) != 1 || evs[0]&EventRead == 0 {
 		t.Fatalf("events = %+v", evs)
 	}
-	ep.Done()
 }
 
 func TestEpollFiresOnWrite(t *testing.T) {
 	k := newKernel()
 	r, w := k.NewPipe(0)
-	ep := k.NewEpoll()
-	if err := ep.Register(r, EventRead, nil); err != nil {
-		t.Fatal(err)
-	}
-	if len(ep.TryWait()) != 0 {
+	rec := record(t, k, r, EventRead)
+	if len(rec.take()) != 0 {
 		t.Fatal("event fired before data")
 	}
 	if _, err := k.Write(w, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	evs := ep.TryWait()
-	if len(evs) != 1 || evs[0].Events&EventRead == 0 {
+	evs := rec.take()
+	if len(evs) != 1 || evs[0]&EventRead == 0 {
 		t.Fatalf("events = %+v", evs)
 	}
-	ep.Done()
 }
 
 func TestEpollOneShot(t *testing.T) {
 	k := newKernel()
 	r, w := k.NewPipe(0)
-	ep := k.NewEpoll()
-	if err := ep.Register(r, EventRead, nil); err != nil {
-		t.Fatal(err)
-	}
+	rec := record(t, k, r, EventRead)
 	k.Write(w, []byte("a"))
-	if evs := ep.TryWait(); len(evs) != 1 {
+	if evs := rec.take(); len(evs) != 1 {
 		t.Fatalf("first write: %d events", len(evs))
 	}
-	ep.Done()
 	k.Write(w, []byte("b"))
-	if evs := ep.TryWait(); len(evs) != 0 {
+	if evs := rec.take(); len(evs) != 0 {
 		t.Fatalf("one-shot watch fired twice: %+v", evs)
 	}
 }
@@ -253,56 +243,48 @@ func TestEpollWriteReadiness(t *testing.T) {
 	if _, err := k.Write(w, make([]byte, 4)); err != nil {
 		t.Fatal(err)
 	}
-	ep := k.NewEpoll()
-	if err := ep.Register(w, EventWrite, nil); err != nil {
-		t.Fatal(err)
-	}
-	if len(ep.TryWait()) != 0 {
+	rec := record(t, k, w, EventWrite)
+	if len(rec.take()) != 0 {
 		t.Fatal("full pipe reported writable")
 	}
 	if _, err := k.Read(r, make([]byte, 2)); err != nil {
 		t.Fatal(err)
 	}
-	evs := ep.TryWait()
-	if len(evs) != 1 || evs[0].Events&EventWrite == 0 {
+	evs := rec.take()
+	if len(evs) != 1 || evs[0]&EventWrite == 0 {
 		t.Fatalf("events = %+v", evs)
 	}
-	ep.Done()
 }
 
 func TestEpollHupOnClose(t *testing.T) {
 	k := newKernel()
 	r, w := k.NewPipe(0)
-	ep := k.NewEpoll()
-	if err := ep.Register(r, EventRead, nil); err != nil {
-		t.Fatal(err)
-	}
+	rec := record(t, k, r, EventRead)
 	k.Close(w)
-	evs := ep.TryWait()
-	if len(evs) != 1 || evs[0].Events&EventHup == 0 {
+	evs := rec.take()
+	if len(evs) != 1 || evs[0]&EventHup == 0 {
 		t.Fatalf("events = %+v, want HUP", evs)
 	}
-	ep.Done()
 }
 
 func TestEpollWaitBlocksUntilEvent(t *testing.T) {
+	// The callback stays pending until another goroutine's write makes
+	// the descriptor ready, and then runs on that goroutine.
 	k := newKernel()
 	r, w := k.NewPipe(0)
-	ep := k.NewEpoll()
-	if err := ep.Register(r, EventRead, nil); err != nil {
+	done := make(chan Event, 1)
+	if err := k.NewEpoll().Register(r, EventRead, func(ev Event) { done <- ev }); err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan []ReadyEvent, 1)
-	go func() {
-		evs, _ := ep.Wait()
-		done <- evs
-	}()
-	k.Write(w, []byte("x"))
-	evs := <-done
-	if len(evs) != 1 {
-		t.Fatalf("events = %+v", evs)
+	select {
+	case ev := <-done:
+		t.Fatalf("fired before any write: %v", ev)
+	default:
 	}
-	ep.Done()
+	go k.Write(w, []byte("x"))
+	if ev := <-done; ev&EventRead == 0 {
+		t.Fatalf("event = %v, want read", ev)
+	}
 }
 
 func TestEpollManyIdleWatches(t *testing.T) {
@@ -310,45 +292,61 @@ func TestEpollManyIdleWatches(t *testing.T) {
 	// must not produce events, and one active pipe must.
 	k := newKernel()
 	ep := k.NewEpoll()
-	const idle = 10000
-	for i := 0; i < idle; i++ {
+	idle := &recorder{}
+	for i := 0; i < 10000; i++ {
 		r, _ := k.NewPipe(0)
-		if err := ep.Register(r, EventRead, i); err != nil {
+		if err := ep.Register(r, EventRead, idle.fn); err != nil {
 			t.Fatal(err)
 		}
 	}
 	r, w := k.NewPipe(0)
-	if err := ep.Register(r, EventRead, "active"); err != nil {
-		t.Fatal(err)
-	}
+	active := record(t, k, r, EventRead)
 	k.Write(w, []byte("x"))
-	evs := ep.TryWait()
-	if len(evs) != 1 || evs[0].Data != "active" {
-		t.Fatalf("events = %d, want exactly the active one", len(evs))
+	if evs := active.take(); len(evs) != 1 {
+		t.Fatalf("active watch fired %d times, want 1", len(evs))
 	}
-	ep.Done()
+	if evs := idle.take(); len(evs) != 0 {
+		t.Fatalf("%d idle watches fired", len(evs))
+	}
 }
 
 func TestEpollRegisterBadFD(t *testing.T) {
 	k := newKernel()
 	ep := k.NewEpoll()
-	if err := ep.Register(1234, EventRead, nil); !errors.Is(err, ErrBadFD) {
+	if err := ep.Register(1234, EventRead, func(Event) {}); !errors.Is(err, ErrBadFD) {
 		t.Fatalf("register bad fd: %v", err)
 	}
 }
 
-func TestEpollCloseWakesWaiter(t *testing.T) {
-	k := newKernel()
-	ep := k.NewEpoll()
-	done := make(chan bool, 1)
-	go func() {
-		_, ok := ep.Wait()
-		done <- ok
-	}()
-	ep.Close()
-	if ok := <-done; ok {
-		t.Fatal("Wait returned ok=true after Close with no events")
+// recorder is a watch callback that keeps every event delivered to it.
+type recorder struct {
+	mu  sync.Mutex
+	evs []Event
+}
+
+func (r *recorder) fn(ev Event) {
+	r.mu.Lock()
+	r.evs = append(r.evs, ev)
+	r.mu.Unlock()
+}
+
+// take returns the events delivered since the previous take.
+func (r *recorder) take() []Event {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	evs := r.evs
+	r.evs = nil
+	return evs
+}
+
+// record registers a recorder for a one-shot readiness event on fd.
+func record(t *testing.T, k *Kernel, fd FD, mask Event) *recorder {
+	t.Helper()
+	rec := &recorder{}
+	if err := k.NewEpoll().Register(fd, mask, rec.fn); err != nil {
+		t.Fatal(err)
 	}
+	return rec
 }
 
 // ---------------------------------------------------------------------------
@@ -463,20 +461,16 @@ func TestListenBacklogValidation(t *testing.T) {
 func TestListenerEpollReadiness(t *testing.T) {
 	k := newKernel()
 	lfd, _ := k.Listen("c:1", 4)
-	ep := k.NewEpoll()
-	if err := ep.Register(lfd, EventRead, nil); err != nil {
-		t.Fatal(err)
-	}
-	if len(ep.TryWait()) != 0 {
+	rec := record(t, k, lfd, EventRead)
+	if len(rec.take()) != 0 {
 		t.Fatal("listener ready before any connection")
 	}
 	if _, err := k.Connect("c:1"); err != nil {
 		t.Fatal(err)
 	}
-	if evs := ep.TryWait(); len(evs) != 1 {
+	if evs := rec.take(); len(evs) != 1 {
 		t.Fatalf("listener events = %d, want 1", len(evs))
 	}
-	ep.Done()
 }
 
 func TestSocketCloseGivesPeerEOFAndEPIPE(t *testing.T) {
@@ -519,20 +513,16 @@ func TestSocketWatchBothDirectionsFiresOnce(t *testing.T) {
 			break
 		}
 	}
-	ep := k.NewEpoll()
-	if err := ep.Register(a, EventRead|EventWrite, nil); err != nil {
-		t.Fatal(err)
-	}
-	if len(ep.TryWait()) != 0 {
+	rec := record(t, k, a, EventRead|EventWrite)
+	if len(rec.take()) != 0 {
 		t.Fatal("watch fired with nothing ready")
 	}
 	// Make both directions ready at once.
-	k.Write(b, []byte("data"))     // a readable
+	k.Write(b, []byte("data"))                   // a readable
 	k.Read(b, make([]byte, DefaultSocketBuffer)) // a writable
-	if evs := ep.TryWait(); len(evs) != 1 {
+	if evs := rec.take(); len(evs) != 1 {
 		t.Fatalf("one-shot dual watch fired %d times", len(evs))
 	}
-	ep.Done()
 }
 
 // ---------------------------------------------------------------------------
@@ -654,6 +644,24 @@ func TestFSPatternFile(t *testing.T) {
 	}
 }
 
+// Two pattern files with different names must not hold the same bytes:
+// a server that sends the wrong file at the right offset is then caught
+// by any reader that validates against PatternByte.
+func TestPatternByteDependsOnName(t *testing.T) {
+	const n = 4096
+	differ := 0
+	for off := int64(0); off < n; off++ {
+		if PatternByte("/f/000001", off) != PatternByte("/f/000002", off) {
+			differ++
+		}
+	}
+	// The names differ in one of nine bytes, so at least 1/9 of the
+	// offsets must differ.
+	if differ < n/9 {
+		t.Fatalf("names differ at %d of %d offsets, want at least %d", differ, n, n/9)
+	}
+}
+
 func TestFSAIOReadTakesDiskTime(t *testing.T) {
 	fs, clk := newFS(t)
 	f, _ := fs.Create("timed", 1<<20, false)
@@ -739,18 +747,14 @@ func TestSocketWriteWatchParksUntilDrain(t *testing.T) {
 			break
 		}
 	}
-	ep := k.NewEpoll()
-	if err := ep.Register(a, EventWrite, nil); err != nil {
-		t.Fatal(err)
-	}
-	if len(ep.TryWait()) != 0 {
+	rec := record(t, k, a, EventWrite)
+	if len(rec.take()) != 0 {
 		t.Fatal("full socket reported writable")
 	}
 	k.Read(b, make([]byte, 1024))
-	if evs := ep.TryWait(); len(evs) != 1 {
+	if evs := rec.take(); len(evs) != 1 {
 		t.Fatalf("drain produced %d events", len(evs))
 	}
-	ep.Done()
 }
 
 func TestFSDiskAccessor(t *testing.T) {

@@ -149,8 +149,8 @@ func (p *pipe) readData(b []byte) (int, error) {
 	p.count -= n
 	// Space became available: wake write-side waiters. The readiness
 	// recomputation (and the fire-out below) is skipped entirely when no
-	// watch is parked — the common case once a poll round has already
-	// drained this edge.
+	// watch is parked — the common case once an earlier transfer has
+	// already fired this edge.
 	var fired []*watch
 	if len(p.writers.watches) > 0 {
 		fired = p.writers.collect(p.writeReadiness())

@@ -36,26 +36,22 @@ func socketPair(t *testing.T, k *Kernel) (FD, FD) {
 func TestCloseWakesOwnReader(t *testing.T) {
 	k := newKernel()
 	_, sfd := socketPair(t, k)
-	ep := k.NewEpoll()
 	// Park a read watch on the server's own fd with no data pending.
-	if err := ep.Register(sfd, EventRead, nil); err != nil {
-		t.Fatal(err)
-	}
-	if evs := ep.TryWait(); len(evs) != 0 {
+	rec := record(t, k, sfd, EventRead)
+	if evs := rec.take(); len(evs) != 0 {
 		t.Fatalf("idle socket reported ready: %+v", evs)
 	}
 	// A shed closes the fd out from under its parked reader.
 	if err := k.Close(sfd); err != nil {
 		t.Fatal(err)
 	}
-	evs := ep.TryWait()
-	if len(evs) != 1 || evs[0].Events&EventHup == 0 {
+	evs := rec.take()
+	if len(evs) != 1 || evs[0]&EventHup == 0 {
 		t.Fatalf("events = %+v, want HUP on the closed fd's own reader", evs)
 	}
 	if _, err := k.Read(sfd, make([]byte, 1)); !errors.Is(err, ErrBadFD) {
 		t.Fatalf("read after own close: %v, want ErrBadFD", err)
 	}
-	ep.Done()
 }
 
 func TestCloseWakesOwnWriter(t *testing.T) {
@@ -71,22 +67,18 @@ func TestCloseWakesOwnWriter(t *testing.T) {
 			break
 		}
 	}
-	ep := k.NewEpoll()
-	if err := ep.Register(sfd, EventWrite, nil); err != nil {
-		t.Fatal(err)
-	}
-	if evs := ep.TryWait(); len(evs) != 0 {
+	rec := record(t, k, sfd, EventWrite)
+	if evs := rec.take(); len(evs) != 0 {
 		t.Fatalf("full socket reported writable: %+v", evs)
 	}
 	if err := k.Close(sfd); err != nil {
 		t.Fatal(err)
 	}
-	evs := ep.TryWait()
-	if len(evs) != 1 || evs[0].Events&EventHup == 0 {
+	evs := rec.take()
+	if len(evs) != 1 || evs[0]&EventHup == 0 {
 		t.Fatalf("events = %+v, want HUP on the closed fd's own writer", evs)
 	}
 	if _, err := k.Write(sfd, []byte("x")); !errors.Is(err, ErrBadFD) {
 		t.Fatalf("write after own close: %v, want ErrBadFD", err)
 	}
-	ep.Done()
 }

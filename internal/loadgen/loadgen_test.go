@@ -48,7 +48,6 @@ func TestGeneratorAgainstServer(t *testing.T) {
 	rt := core.NewRuntime(core.Options{Workers: 1, Clock: clk})
 	defer rt.Shutdown()
 	io := hio.New(rt, k, fs)
-	defer io.Close()
 	srv := httpd.NewServer(io, httpd.ServerConfig{CacheBytes: 1 << 20})
 	rt.Spawn(srv.ListenAndServe("web:80"))
 
@@ -87,7 +86,6 @@ func TestGeneratorDeterministicRequests(t *testing.T) {
 		rt := core.NewRuntime(core.Options{Workers: 1, Clock: clk})
 		defer rt.Shutdown()
 		io := hio.New(rt, k, fs)
-		defer io.Close()
 		srv := httpd.NewServer(io, httpd.ServerConfig{CacheBytes: 4 << 20})
 		rt.Spawn(srv.ListenAndServe("web:80"))
 		gen := loadgen.New(io, loadgen.Config{
@@ -110,7 +108,6 @@ func TestGeneratorConnectFailureCounted(t *testing.T) {
 	rt := core.NewRuntime(core.Options{Workers: 1, Clock: clk})
 	defer rt.Shutdown()
 	io := hio.New(rt, k, nil)
-	defer io.Close()
 	gen := loadgen.New(io, loadgen.Config{
 		Addr: "nobody:80", Clients: 3, Files: 1, RequestsPerClient: 1, Seed: 1,
 	})

@@ -147,7 +147,6 @@ func (r *Runtime) Wait() { r.wg.Wait() }
 type Thread struct {
 	r     *Runtime
 	stack []byte
-	ep    *kernel.Epoll // lazily created private epoll for readiness waits
 }
 
 // contextSwitch models one block/wake pair's cost in the wall-clock
@@ -182,33 +181,14 @@ func (t *Thread) block(register func(wake func())) {
 	t.contextSwitch()
 }
 
-// epoll returns the thread's private epoll instance.
-func (t *Thread) epoll() *kernel.Epoll {
-	if t.ep == nil {
-		t.ep = t.r.k.NewEpoll()
-	}
-	return t.ep
-}
-
 // waitReady blocks until fd is ready for mask.
 func (t *Thread) waitReady(fd kernel.FD, mask kernel.Event) error {
-	ep := t.epoll()
 	var regErr error
 	t.block(func(wake func()) {
-		regErr = ep.Register(fd, mask, nil)
+		regErr = t.r.k.NewEpoll().Register(fd, mask, func(kernel.Event) { wake() })
 		if regErr != nil {
 			wake()
-			return
 		}
-		go func() {
-			evs, _ := ep.Wait()
-			// Wake (which takes the thread's hold) before releasing the
-			// events' holds, so the busy count never dips to zero between.
-			wake()
-			for range evs {
-				ep.Done()
-			}
-		}()
 	})
 	return regErr
 }
