@@ -1,10 +1,15 @@
 GO ?= go
 
-.PHONY: tier1 build vet test race race-smp determinism tcp-conformance mem-budget core-alloc tier2 stress overload-stress adversarial-smoke order-replay fuzz-smoke bench bench-smoke profile
+.PHONY: tier1 fmt build vet test race race-smp determinism tcp-conformance mem-budget core-alloc tier2 stress overload-stress adversarial-smoke order-replay fuzz-smoke bench bench-smoke profile
 
-# tier1 is the repository's gate: everything must build, vet clean, and
-# pass tests, with the race detector over the concurrency-heavy packages.
-tier1: build vet test race
+# tier1 is the repository's gate: everything must be gofmt-clean, build,
+# vet clean, and pass tests, with the race detector over the
+# concurrency-heavy packages.
+tier1: fmt build vet test race
+
+# fmt fails when any Go file differs from gofmt's layout, listing them.
+fmt:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -81,10 +86,13 @@ mem-budget:
 # only, no timing, so it cannot flake on machine speed. It holds the
 # continuation-flattening line — fused Loop/ForN/RepeatN iterations at
 # zero allocations, the cached-GET serve loop within its per-request
-# budget — so a change that quietly re-introduces per-iteration closure
-# or node allocation fails here, not in the next perf investigation.
+# budget, re-entry of the hio and tcp retry machines' read traces (ready
+# or parked) at zero allocations — so a change that quietly
+# re-introduces per-iteration closure or node allocation fails here, not
+# in the next perf investigation.
 core-alloc:
-	$(GO) test -run 'Alloc' -count=1 ./internal/core/ ./internal/bench/ ./internal/httpd/
+	$(GO) test -run 'Alloc' -count=1 ./internal/core/ ./internal/bench/ ./internal/httpd/ \
+		./internal/hio/ ./internal/tcp/
 
 # tier2 is the extended, non-gating suite (~30s): the randomized
 # scheduler stress tests under the race detector, the seeded overload

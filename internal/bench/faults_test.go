@@ -2,9 +2,12 @@ package bench
 
 import (
 	"bytes"
+	"reflect"
+	"strings"
 	"testing"
 
 	"hybrid/internal/faults"
+	"hybrid/internal/stats"
 )
 
 // TestFig17InactiveFaultsAreInvisible: a config carrying a zero-rate
@@ -97,5 +100,50 @@ func TestFig19DegradesUnderDiskFaults(t *testing.T) {
 	// clients: every handler either finishes its file or sheds with 503.
 	if got := snap.Counter("httpd.resp_503"); got == 0 {
 		t.Fatal("30% disk-error rate with 2 retries produced no 503s")
+	}
+}
+
+// TestFig19KernelFaultsReplay drives the hybrid I/O retry machine's
+// error classes end to end: seeded kernel.read and kernel.write faults
+// (EINTR retried at once, EAGAIN parked on epoll, EIO thrown) hit both
+// the server's and the clients' sockets, and kernel.accept faults
+// (EINTR, ECONNABORTED) hit the accept loop. The run must still
+// complete, and two runs must replay to the same throughput and the
+// same faults.* and httpd.* counters.
+func TestFig19KernelFaultsReplay(t *testing.T) {
+	cfg := Fig19Quick()
+	cfg.Faults = &faults.Config{
+		Seed: 2,
+		Rates: map[faults.Op]float64{
+			faults.KernelRead:   0.05,
+			faults.KernelWrite:  0.05,
+			faults.KernelAccept: 0.2,
+		},
+	}
+	mbpsA, snapA := Fig19HybridStats(cfg, 16)
+	mbpsB, snapB := Fig19HybridStats(cfg, 16)
+	for _, op := range []faults.Op{faults.KernelRead, faults.KernelWrite, faults.KernelAccept} {
+		if snapA.Counter("faults.injected."+string(op)) == 0 {
+			t.Errorf("plan injected no %s faults; the test is vacuous", op)
+		}
+	}
+	if snapA.Counter("httpd.requests") == 0 {
+		t.Error("server served nothing under kernel faults")
+	}
+	t.Logf("injected read=%d write=%d accept=%d; %d requests at %.3f MB/s",
+		snapA.Counter("faults.injected.kernel.read"), snapA.Counter("faults.injected.kernel.write"),
+		snapA.Counter("faults.injected.kernel.accept"), snapA.Counter("httpd.requests"), mbpsA)
+	if mbpsA != mbpsB {
+		t.Errorf("same seed, different throughput: %.6f vs %.6f MB/s", mbpsA, mbpsB)
+	}
+	for _, snaps := range [][2]stats.Snapshot{{snapA, snapB}, {snapB, snapA}} {
+		for name, m := range snaps[0] {
+			if !strings.HasPrefix(name, "faults.") && !strings.HasPrefix(name, "httpd.") {
+				continue
+			}
+			if other, ok := snaps[1][name]; !ok || !reflect.DeepEqual(m, other) {
+				t.Errorf("same seed, %s: %+v then %+v", name, m, other)
+			}
+		}
 	}
 }

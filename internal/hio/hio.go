@@ -4,6 +4,12 @@
 // blocking-style wrappers (sock_accept, sock_send, …, Figure 10) that hide
 // the nonblocking retry loops from application threads.
 //
+// Those wrappers share one retry machine, opState: read-some, read-full,
+// send and accept are its modes, and it alone decides what EAGAIN, EINTR
+// and other errors do. Each wrapper is a one-shot application of it; the
+// *Cell entries return a computation whose trace a flattened caller
+// re-forces per message without allocating.
+//
 // The paper's worker_epoll loop (Figure 16) harvests readiness events and
 // writes each parked thread to the scheduler's ready queue. Here the epoll
 // device calls the parked thread's resume at the point of readiness, so
@@ -87,25 +93,6 @@ func (io *IO) EpollWait(fd kernel.FD, mask kernel.Event) core.M[kernel.Event] {
 	)
 }
 
-// ---------------------------------------------------------------------------
-// Nonblocking system calls lifted into the monad
-// ---------------------------------------------------------------------------
-
-// Read performs one nonblocking read; EAGAIN is returned as an error value
-// (not thrown) because retry loops are the normal path.
-func (io *IO) Read(fd kernel.FD, p []byte) core.M[ReadResult] {
-	return core.NBIO(func() ReadResult {
-		n, err := io.k.Read(fd, p)
-		return ReadResult{N: n, Err: err}
-	})
-}
-
-// ReadResult carries a nonblocking transfer count and error.
-type ReadResult struct {
-	N   int
-	Err error
-}
-
 // CloseFD closes a descriptor.
 func (io *IO) CloseFD(fd kernel.FD) core.M[core.Unit] {
 	return core.Do(func() { _ = io.k.Close(fd) })
@@ -116,52 +103,25 @@ func (io *IO) CloseFD(fd kernel.FD) core.M[core.Unit] {
 // ---------------------------------------------------------------------------
 
 // SockAccept accepts a connection on a listening descriptor, waiting for
-// readiness when none is pending — the paper's Figure 10, verbatim logic:
-// try the nonblocking accept; on EAGAIN wait for EPOLL_READ and retry.
+// readiness when none is pending (the paper's sock_accept).
 func (io *IO) SockAccept(listenFD kernel.FD) core.M[kernel.FD] {
-	var try func() core.M[kernel.FD]
-	try = func() core.M[kernel.FD] {
-		return core.Bind(
-			core.NBIO(func() result[kernel.FD] {
-				fd, err := io.k.Accept(listenFD)
-				return result[kernel.FD]{val: fd, err: err}
-			}),
-			func(r result[kernel.FD]) core.M[kernel.FD] {
-				if errors.Is(r.err, kernel.ErrAgain) {
-					return core.Then(io.EpollWait(listenFD, kernel.EventRead), try())
-				}
-				// EINTR and ECONNABORTED retry immediately: the signal
-				// landed before the accept, or the pending connection
-				// died in the backlog — neither is the listener's end.
-				if errors.Is(r.err, kernel.ErrIntr) || errors.Is(r.err, kernel.ErrConnAborted) {
-					return try()
-				}
-				return throwResult(r)
-			},
-		)
-	}
-	return try()
+	accept := io.op(opAccept, listenFD, nil, nil)
+	return core.Map(accept, func(fd int) kernel.FD { return kernel.FD(fd) })
 }
 
 // SockRead reads at least one byte into p, waiting for readiness as
-// needed. It returns 0 at end of stream.
+// needed. It returns 0 at end of stream. It is a one-shot SockReadCell.
 func (io *IO) SockRead(fd kernel.FD, p []byte) core.M[int] {
-	var try func() core.M[int]
-	try = func() core.M[int] {
-		return core.Bind(io.Read(fd, p), func(r ReadResult) core.M[int] {
-			if errors.Is(r.Err, kernel.ErrAgain) {
-				return core.Then(io.EpollWait(fd, kernel.EventRead), try())
-			}
-			if errors.Is(r.Err, kernel.ErrIntr) {
-				return try() // interrupted before the transfer; retry now
-			}
-			if r.Err != nil {
-				return core.Throw[int](r.Err)
-			}
-			return core.Return(r.N)
-		})
-	}
-	return try()
+	return io.op(opRead, fd, nil, p)
+}
+
+// SockReadCell returns a computation that, each time its trace is
+// forced, reads at least one byte into the buffer *cell holds at that
+// moment (0 at end of stream) and delivers the count. Flattened callers
+// (the loadgen request pump) build the M once and re-force its trace per
+// read, pointing *cell at the buffer to fill before each entry.
+func (io *IO) SockReadCell(fd kernel.FD, cell *[]byte) core.M[int] {
+	return io.op(opRead, fd, cell, nil)
 }
 
 // SockReadFull reads exactly len(p) bytes unless the stream ends first;
@@ -170,69 +130,15 @@ func (io *IO) SockReadFull(fd kernel.FD, p []byte) core.M[int] {
 	if len(p) == 0 {
 		return core.Return(0)
 	}
-	return io.readFullCell(fd, nil, p)
+	return io.op(opReadFull, fd, nil, p)
 }
 
 // SockReadFullCell returns a computation that, each time its trace is
 // forced, reads exactly len(*cell) bytes into *cell (fewer at end of
 // stream) and delivers the total read. Flattened callers (the fig18 FIFO
-// pump) build the M once and re-force its trace per message, so
-// steady-state receives allocate no nodes: the retry loop lives in one
-// state struct with an embedded NBIONode. The node sequence is one NBIO
-// attempt per partial transfer and a park plus a retry attempt per
-// EAGAIN.
+// pump) build the M once and re-force its trace per message.
 func (io *IO) SockReadFullCell(fd kernel.FD, cell *[]byte) core.M[int] {
-	return io.readFullCell(fd, cell, nil)
-}
-
-// readFullCell applies the read state machine; a nil cell reads into p.
-func (io *IO) readFullCell(fd kernel.FD, cell *[]byte, p []byte) core.M[int] {
-	return func(k func(int) core.Trace) core.Trace {
-		s := &readFullCellState{io: io, fd: fd, cell: cell, one: p, k: k}
-		if cell == nil {
-			s.cell = &s.one
-		}
-		s.node.Effect = s.try
-		return &s.node
-	}
-}
-
-type readFullCellState struct {
-	io   *IO
-	fd   kernel.FD
-	cell *[]byte
-	one  []byte // a one-shot caller's buffer; cell points here
-	k    func(int) core.Trace
-	got  int
-	node core.NBIONode
-	park core.Trace // EpollWait(EventRead) resuming into node, built at first EAGAIN
-}
-
-func (s *readFullCellState) retry(kernel.Event) core.Trace { return &s.node }
-
-func (s *readFullCellState) try() core.Trace {
-	p := *s.cell
-	n, err := s.io.k.Read(s.fd, p[s.got:])
-	if err != nil {
-		if errors.Is(err, kernel.ErrAgain) {
-			if s.park == nil {
-				s.park = s.io.EpollWait(s.fd, kernel.EventRead)(s.retry)
-			}
-			return s.park
-		}
-		if errors.Is(err, kernel.ErrIntr) {
-			return &s.node // interrupted before the transfer; retry now
-		}
-		s.got = 0
-		return &core.ThrowNode{Err: err}
-	}
-	s.got += n
-	if n > 0 && s.got < len(p) {
-		return &s.node
-	}
-	got := s.got
-	s.got = 0 // reset: the trace re-enters per message
-	return s.k(got)
+	return io.op(opReadFull, fd, cell, nil)
 }
 
 // SockSend writes all of p, waiting for buffer space as needed (the
@@ -241,26 +147,33 @@ func (io *IO) SockSend(fd kernel.FD, p []byte) core.M[int] {
 	if len(p) == 0 {
 		return core.Return(0)
 	}
-	return io.sendCell(fd, nil, p)
+	return io.op(opSend, fd, nil, p)
 }
 
 // SockSendCell returns a computation that, each time its trace is
 // forced, writes all of the buffer *cell holds at that moment and
-// delivers the total written. It is the hybrid I/O layer's one send
-// retry loop: flattened callers (the httpd request machine) build the M
-// once per connection and re-enter its trace once per response, so
-// steady-state sends allocate no nodes. The node sequence is one NBIO
-// attempt per partial transfer and a park plus a retry attempt per
-// EAGAIN. *cell must be non-empty at entry and must not be mutated until
-// the count is delivered.
+// delivers the total written. Flattened callers (the httpd request
+// machine, the loadgen request pump) build the M once per connection and
+// re-enter its trace once per message. *cell must be non-empty at entry
+// and must not be mutated until the count is delivered.
 func (io *IO) SockSendCell(fd kernel.FD, cell *[]byte) core.M[int] {
-	return io.sendCell(fd, cell, nil)
+	return io.op(opSend, fd, cell, nil)
 }
 
-// sendCell applies the send state machine; a nil cell sends p.
-func (io *IO) sendCell(fd kernel.FD, cell *[]byte, p []byte) core.M[int] {
+// opMode selects what one attempt of the retry machine does.
+type opMode uint8
+
+const (
+	opRead     opMode = iota // one read into *cell; delivers the count, 0 at end of stream
+	opReadFull               // reads until *cell is full or the stream ends
+	opSend                   // writes all of *cell
+	opAccept                 // accepts on a listener; delivers the new descriptor
+)
+
+// op applies the retry machine in the given mode; a nil cell transfers p.
+func (io *IO) op(mode opMode, fd kernel.FD, cell *[]byte, p []byte) core.M[int] {
 	return func(k func(int) core.Trace) core.Trace {
-		s := &sendCellState{io: io, fd: fd, cell: cell, one: p, k: k}
+		s := &opState{io: io, fd: fd, mode: mode, cell: cell, one: p, k: k}
 		if cell == nil {
 			s.cell = &s.one
 		}
@@ -269,48 +182,81 @@ func (io *IO) sendCell(fd kernel.FD, cell *[]byte, p []byte) core.M[int] {
 	}
 }
 
-type sendCellState struct {
+// opState is the hybrid I/O layer's one retry machine: Figure 10's rule
+// as a state struct. Each forcing of its node makes one nonblocking
+// attempt. EAGAIN parks on the descriptor's epoll event and retries at
+// readiness; EINTR (and, for accept, ECONNABORTED: the pending connection
+// died in the backlog) retries at once; any other error is thrown. A
+// partial read-full or send continues at once, and a completed attempt
+// calls the continuation inside the same node. The node sequence is thus
+// one NBIO per attempt plus a Suspend per EAGAIN. The park trace is built
+// at the first EAGAIN and kept, and the state resets on completion, so a
+// caller that applies the machine once and re-forces its trace per
+// message allocates nothing in steady state.
+type opState struct {
 	io     *IO
 	fd     kernel.FD
+	mode   opMode
+	active bool // rest holds this entry's untransferred bytes
 	cell   *[]byte
 	one    []byte // a one-shot caller's buffer; cell points here
+	rest   []byte // the untransferred suffix of *cell
 	k      func(int) core.Trace
-	rest   []byte
-	total  int
-	active bool
 	node   core.NBIONode
-	park   core.Trace // EpollWait(EventWrite) resuming into node, built at first EAGAIN
+	park   core.Trace // EpollWait resuming into node, built at first EAGAIN
 }
 
-func (s *sendCellState) retry(kernel.Event) core.Trace { return &s.node }
+func (s *opState) retry(kernel.Event) core.Trace { return &s.node }
 
-func (s *sendCellState) try() core.Trace {
+func (s *opState) try() core.Trace {
 	if !s.active {
-		s.active = true
-		s.rest = *s.cell
-		s.total = len(s.rest)
+		s.active, s.rest = true, *s.cell
 	}
-	n, err := s.io.k.Write(s.fd, s.rest)
+	var n int
+	var err error
+	switch s.mode {
+	case opSend:
+		n, err = s.io.k.Write(s.fd, s.rest)
+	case opAccept:
+		var fd kernel.FD
+		fd, err = s.io.k.Accept(s.fd)
+		n = int(fd)
+	default:
+		n, err = s.io.k.Read(s.fd, s.rest)
+	}
 	if err != nil {
 		if errors.Is(err, kernel.ErrAgain) {
 			if s.park == nil {
-				s.park = s.io.EpollWait(s.fd, kernel.EventWrite)(s.retry)
+				ev := kernel.EventRead
+				if s.mode == opSend {
+					ev = kernel.EventWrite
+				}
+				s.park = s.io.EpollWait(s.fd, ev)(s.retry)
 			}
 			return s.park
 		}
-		if errors.Is(err, kernel.ErrIntr) {
+		if errors.Is(err, kernel.ErrIntr) || s.mode == opAccept && errors.Is(err, kernel.ErrConnAborted) {
 			return &s.node // interrupted before the transfer; retry now
 		}
 		s.active, s.rest = false, nil
 		return &core.ThrowNode{Err: err}
 	}
-	s.rest = s.rest[n:]
-	if len(s.rest) > 0 {
-		return &s.node
+	switch s.mode {
+	case opReadFull:
+		s.rest = s.rest[n:]
+		if n > 0 && len(s.rest) > 0 {
+			return &s.node
+		}
+		n = len(*s.cell) - len(s.rest) // short at end of stream
+	case opSend:
+		s.rest = s.rest[n:]
+		if len(s.rest) > 0 {
+			return &s.node
+		}
+		n = len(*s.cell)
 	}
-	total := s.total
-	s.active, s.rest = false, nil // reset: the trace re-enters per response
-	return s.k(total)
+	s.active, s.rest = false, nil // reset: the trace re-enters per message
+	return s.k(n)
 }
 
 // SockConnect opens a connection to a listener address.

@@ -563,3 +563,55 @@ func TestMultipleEventLoopsPartitionSources(t *testing.T) {
 		t.Fatal("loop 1 did not deliver")
 	}
 }
+
+// Re-entering a pre-applied read-some trace allocates nothing per
+// message: neither a read that finds data nor one that first hits
+// EAGAIN, returns the kept park trace, and is re-forced after the data
+// arrives (the park resumes into the same entry node).
+func TestSockReadCellReentryAllocs(t *testing.T) {
+	r := newRig(t, nil, 1)
+	rfd, wfd := r.k.NewPipe(0)
+	cell := make([]byte, 1)
+	msg := []byte("x")
+	var got int
+	done := &core.RetNode{}
+	entry := r.io.SockReadCell(rfd, &cell)(func(n int) core.Trace { got = n; return done })
+	node := entry.(*core.NBIONode)
+
+	park := node.Effect()
+	sn, ok := park.(*core.SuspendNode)
+	if !ok {
+		t.Fatalf("read of an empty pipe returned %T, want a park", park)
+	}
+	if _, err := r.k.Write(wfd, msg); err != nil {
+		t.Fatal(err)
+	}
+	var resumed core.Trace
+	sn.Park(func(next core.Trace) { resumed = next })
+	if resumed != entry {
+		t.Fatalf("park resumed into %v, want the entry node", resumed)
+	}
+	if tr := node.Effect(); tr != done || got != 1 {
+		t.Fatalf("read delivered %d via %v", got, tr)
+	}
+
+	var bad bool
+	check := func(tr core.Trace, want core.Trace) {
+		if tr != want {
+			bad = true
+		}
+	}
+	if n := testing.AllocsPerRun(500, func() {
+		_, _ = r.k.Write(wfd, msg)
+		check(node.Effect(), done)
+	}); n != 0 || bad {
+		t.Errorf("ready read re-entry: %v allocs per message (bad trace: %v)", n, bad)
+	}
+	if n := testing.AllocsPerRun(500, func() {
+		check(node.Effect(), park)
+		_, _ = r.k.Write(wfd, msg)
+		check(node.Effect(), done)
+	}); n != 0 || bad {
+		t.Errorf("park/resume re-entry: %v allocs per message (bad trace: %v)", n, bad)
+	}
+}

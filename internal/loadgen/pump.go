@@ -1,7 +1,6 @@
 package loadgen
 
 import (
-	"errors"
 	"fmt"
 	"strconv"
 	"time"
@@ -18,38 +17,40 @@ import (
 // the request bytes, the head-read recursion, the body-drain recursion,
 // and every Bind/NBIO closure per request — with one pump state struct
 // allocated at M-application time. A steady-state request reuses the
-// pump's embedded trace nodes, its request-byte buffer, and its two
-// pre-applied epoll park traces, so the only per-request allocations
-// left are the modelled network Sleep (when RTT/Bandwidth are set) and
-// the error path.
+// pump's embedded trace nodes, its request-byte buffer, and two
+// pre-applied hio cell traces — a send cell over the request bytes and a
+// read-some cell the pump points at the buffer (or, while draining a
+// body, at no more than its remainder) before each entry — so the only
+// per-request allocations left are the modelled network Sleep (when
+// RTT/Bandwidth are set) and the error path. The retry policy (park on
+// EAGAIN, retry on EINTR) is hio's.
 //
 // The emitted node sequence is exactly the naive spelling's — per
 // request: [clock read when latency is measured], one NBIO per send
-// attempt with an epoll park per EAGAIN, one NBIO read plus one NBIO
-// feed per head chunk, one NBIO parse, one NBIO read per body chunk,
-// the Sleep's nodes when a delay is charged, one NBIO account, [one
-// NBIO latency observe], and one loop-bounce NBIO (ForN's trailing
-// bounce included) — so virtual-time figure outputs are unchanged.
+// attempt with an epoll park per EAGAIN, one NBIO read (likewise
+// retried) plus one NBIO feed per head chunk, one NBIO parse, one NBIO
+// read per body chunk, the Sleep's nodes when a delay is charged, one
+// NBIO account, [one NBIO latency observe], and one loop-bounce NBIO
+// (ForN's trailing bounce included) — so virtual-time figure outputs
+// are unchanged.
 func (g *Generator) requestSeq(conn kernel.FD, count int, next func() uint64, hb *httpd.HeadBuffer, buf []byte) core.M[core.Unit] {
 	if count <= 0 {
 		return core.Skip
 	}
 	return func(k func(core.Unit) core.Trace) core.Trace {
 		s := &requestPump{
-			g: g, kern: g.io.Kernel(), clk: g.io.Clock(),
-			conn: conn, count: count, next: next, hb: hb, buf: buf, k: k,
+			g: g, clk: g.io.Clock(),
+			count: count, next: next, hb: hb, buf: buf, k: k,
 		}
 		s.latNode.Effect = s.latEffect
-		s.sendNode.Effect = s.sendEffect
-		s.readNode.Effect = s.readEffect
 		s.feedNode.Effect = s.feedEffect
 		s.parseNode.Effect = s.parseEffect
 		s.accountNode.Effect = s.accountEffect
 		s.observeNode.Effect = s.observeEffect
 		s.bounceNode.Effect = s.bounceEffect
 		s.delayCont = s.afterDelay
-		s.sendPark = g.io.EpollWait(conn, kernel.EventWrite)(s.retrySend)
-		s.readPark = g.io.EpollWait(conn, kernel.EventRead)(s.retryRead)
+		s.send = g.io.SockSendCell(conn, &s.req)(s.afterSend)
+		s.read = g.io.SockReadCell(conn, &s.into)(s.afterRead)
 		s.begin()
 		return s.entry()
 	}
@@ -58,10 +59,8 @@ func (g *Generator) requestSeq(conn kernel.FD, count int, next func() uint64, hb
 const requestTail = " HTTP/1.1\r\nHost: bench\r\nConnection: keep-alive\r\n\r\n"
 
 type requestPump struct {
-	g    *Generator
-	kern *kernel.Kernel
-	clk  vclock.Clock
-	conn kernel.FD
+	g   *Generator
+	clk vclock.Clock
 
 	count int
 	next  func() uint64
@@ -71,7 +70,7 @@ type requestPump struct {
 
 	i         int
 	req       []byte // rendered request bytes, reused across requests
-	rest      []byte // unsent suffix of req
+	into      []byte // the read cell: buf, or a body remainder's prefix of it
 	readN     int    // bytes from the last head-phase read
 	head      string
 	draining  bool
@@ -81,16 +80,14 @@ type requestPump struct {
 	start     vclock.Time
 
 	latNode     core.NBIONode
-	sendNode    core.NBIONode
-	readNode    core.NBIONode
 	feedNode    core.NBIONode
 	parseNode   core.NBIONode
 	accountNode core.NBIONode
 	observeNode core.NBIONode
 	bounceNode  core.NBIONode
 
-	sendPark  core.Trace // EpollWait(EventWrite) resuming into sendNode
-	readPark  core.Trace // EpollWait(EventRead) resuming into readNode
+	send      core.Trace // SockSendCell over req
+	read      core.Trace // SockReadCell over into
 	delayCont func(core.Unit) core.Trace
 }
 
@@ -100,7 +97,6 @@ func (s *requestPump) begin() {
 	s.req = append(s.req[:0], "GET /file-"...)
 	s.req = strconv.AppendUint(s.req, name, 10)
 	s.req = append(s.req, requestTail...)
-	s.rest = s.req
 	s.draining = false
 }
 
@@ -109,61 +105,35 @@ func (s *requestPump) entry() core.Trace {
 	if s.g.lat != nil {
 		return &s.latNode
 	}
-	return &s.sendNode
+	return s.send
 }
-
-func (s *requestPump) retrySend(kernel.Event) core.Trace { return &s.sendNode }
-func (s *requestPump) retryRead(kernel.Event) core.Trace { return &s.readNode }
 
 func (s *requestPump) latEffect() core.Trace {
 	s.start = s.clk.Now()
-	return &s.sendNode
+	return s.send
 }
 
-func (s *requestPump) sendEffect() core.Trace {
-	n, err := s.kern.Write(s.conn, s.rest)
-	if err != nil {
-		if errors.Is(err, kernel.ErrAgain) {
-			return s.sendPark
-		}
-		if errors.Is(err, kernel.ErrIntr) {
-			return &s.sendNode // interrupted before the transfer; retry now
-		}
-		return &core.ThrowNode{Err: err}
+func (s *requestPump) afterSend(int) core.Trace { return s.readNext() }
+
+// readNext points the read cell at the whole buffer or, while draining a
+// body, at no more of it than the body has left, and enters the read.
+func (s *requestPump) readNext() core.Trace {
+	s.into = s.buf
+	if s.draining && int64(len(s.into)) > s.remaining {
+		s.into = s.into[:s.remaining]
 	}
-	s.rest = s.rest[n:]
-	if len(s.rest) > 0 {
-		return &s.sendNode
-	}
-	return &s.readNode
+	return s.read
 }
 
-func (s *requestPump) readEffect() core.Trace {
-	p := s.buf
-	if s.draining {
-		want := int64(len(p))
-		if want > s.remaining {
-			want = s.remaining
-		}
-		p = p[:want]
-	}
-	n, err := s.kern.Read(s.conn, p)
-	if err != nil {
-		if errors.Is(err, kernel.ErrAgain) {
-			return s.readPark
-		}
-		if errors.Is(err, kernel.ErrIntr) {
-			return &s.readNode // interrupted before the transfer; retry now
-		}
-		return &core.ThrowNode{Err: err}
-	}
+// afterRead runs inside the read's completing node with its count.
+func (s *requestPump) afterRead(n int) core.Trace {
 	if s.draining {
 		if n == 0 {
 			return &core.ThrowNode{Err: fmt.Errorf("loadgen: truncated body")}
 		}
 		s.remaining -= int64(n)
 		if s.remaining > 0 {
-			return &s.readNode
+			return s.readNext()
 		}
 		return s.afterBody()
 	}
@@ -180,7 +150,7 @@ func (s *requestPump) feedEffect() core.Trace {
 		return &core.ThrowNode{Err: err}
 	}
 	if head == "" {
-		return &s.readNode
+		return s.readNext()
 	}
 	s.head = head
 	return &s.parseNode
@@ -203,7 +173,7 @@ func (s *requestPump) parseEffect() core.Trace {
 	s.remaining = length - buffered
 	if s.remaining > 0 {
 		s.draining = true
-		return &s.readNode
+		return s.readNext()
 	}
 	return s.afterBody()
 }

@@ -15,6 +15,10 @@ import (
 //
 // Every blocking operation follows the Figure 10 pattern: try the
 // nonblocking form; on ErrWouldBlock, park on the ready hook and retry.
+// On the monadic side one retry machine, opState, holds that rule: read,
+// read-full, the copying and by-reference writes, and accept are its
+// modes, and ReadM, ReadFullM, WriteM, WriteVM, WriteCellVM and AcceptM
+// apply it. The goroutine variants below keep plain loops.
 
 // await adapts a one-shot ready hook to the scheduler's Suspend.
 func await(register func(cb func())) core.M[core.Unit] {
@@ -25,30 +29,11 @@ func await(register func(cb func())) core.M[core.Unit] {
 
 // AcceptM accepts a connection, parking the thread until one is pending.
 func (l *Listener) AcceptM() core.M[*Conn] {
-	var try func() core.M[*Conn]
-	try = func() core.M[*Conn] {
-		return core.Bind(
-			core.NBIO(func() acceptResult {
-				c, err := l.TryAccept()
-				return acceptResult{c, err}
-			}),
-			func(r acceptResult) core.M[*Conn] {
-				if errors.Is(r.err, ErrWouldBlock) {
-					return core.Then(await(l.OnAcceptable), try())
-				}
-				if r.err != nil {
-					return core.Throw[*Conn](r.err)
-				}
-				return core.Return(r.c)
-			},
-		)
+	return func(k func(*Conn) core.Trace) core.Trace {
+		s := &opState{l: l, mode: opAccept}
+		s.k = func(int) core.Trace { return k(s.accepted) }
+		return s.start()
 	}
-	return try()
-}
-
-type acceptResult struct {
-	c   *Conn
-	err error
 }
 
 // ConnectM opens a connection to addr:port and parks the thread until the
@@ -73,64 +58,165 @@ func (s *Stack) ConnectM(addr string, port uint16) core.M[*Conn] {
 // ReadM reads at least one byte into p, parking the thread while no data
 // is available. It returns 0 at end of stream.
 func (c *Conn) ReadM(p []byte) core.M[int] {
-	var try func() core.M[int]
-	try = func() core.M[int] {
-		return core.Bind(
-			core.NBIO(func() ioResult {
-				n, err := c.TryRead(p)
-				return ioResult{n, err}
-			}),
-			func(r ioResult) core.M[int] {
-				if errors.Is(r.err, ErrWouldBlock) {
-					return core.Then(await(c.OnRecvReady), try())
-				}
-				if r.err != nil {
-					return core.Throw[int](r.err)
-				}
-				return core.Return(r.n)
-			},
-		)
-	}
-	return try()
-}
-
-type ioResult struct {
-	n   int
-	err error
+	return c.op(opRead, nil, p, iovec.Vec{})
 }
 
 // ReadFullM reads exactly len(p) bytes unless the stream ends first,
 // returning the count read.
 func (c *Conn) ReadFullM(p []byte) core.M[int] {
-	var step func(got int) core.M[int]
-	step = func(got int) core.M[int] {
-		if got >= len(p) {
-			return core.Return(got)
-		}
-		return core.Bind(c.ReadM(p[got:]), func(n int) core.M[int] {
-			if n == 0 {
-				return core.Return(got)
-			}
-			return step(got + n)
-		})
+	if len(p) == 0 {
+		return core.Return(0)
 	}
-	return step(0)
+	return c.op(opReadFull, nil, p, iovec.Vec{})
 }
 
 // WriteM writes all of p, parking the thread while the send buffer is
 // full, and returns len(p). The stack copies what it accepts, so the
-// caller may reuse p as soon as the count is delivered. It is a one-shot
-// of the WriteCellVM machine in copying mode.
+// caller may reuse p as soon as the count is delivered.
 func (c *Conn) WriteM(p []byte) core.M[int] {
 	if len(p) == 0 {
 		return core.Return(0)
 	}
-	return c.writeCell(nil, iovec.FromBytes(p), true)
+	return c.op(opWriteCopy, nil, p, iovec.Vec{})
 }
 
 // CloseM closes the send direction from a monadic thread.
 func (c *Conn) CloseM() core.M[core.Unit] {
 	return core.Do(c.Close)
+}
+
+// WriteVM writes an I/O vector from a monadic thread without copying,
+// parking while the send buffer is full. The vector's storage transfers
+// to the stack and must not be mutated afterwards.
+func (c *Conn) WriteVM(v iovec.Vec) core.M[core.Unit] {
+	if v.Empty() {
+		return core.Skip
+	}
+	return core.Then(c.op(opWrite, nil, nil, v), core.Skip)
+}
+
+// WriteCellVM returns a computation that, each time its trace is forced,
+// queues all of the buffer *cell holds at that moment by reference and
+// delivers the total queued. Flattened callers (the httpd request
+// machine) build the M once per connection and re-enter its trace once
+// per response, so steady-state sends allocate no nodes. *cell must be
+// non-empty at entry, and its storage transfers to the stack (never
+// mutate it afterwards).
+func (c *Conn) WriteCellVM(cell *[]byte) core.M[int] {
+	return c.op(opWrite, cell, nil, iovec.Vec{})
+}
+
+// opMode selects what one attempt of the retry machine does.
+type opMode uint8
+
+const (
+	opRead      opMode = iota // one read into *cell; delivers the count, 0 at end of stream
+	opReadFull                // reads until *cell is full or the stream ends
+	opWrite                   // queues *cell, or vec, by reference (TryWriteV)
+	opWriteCopy               // queues a copy of *cell (TryWrite)
+	opAccept                  // accepts on l; the continuation reads accepted
+)
+
+// op applies the retry machine in the given mode. A nil cell transfers
+// p; a non-empty v is written instead of either.
+func (c *Conn) op(mode opMode, cell *[]byte, p []byte, v iovec.Vec) core.M[int] {
+	return func(k func(int) core.Trace) core.Trace {
+		s := &opState{c: c, mode: mode, cell: cell, one: p, vec: v, k: k}
+		if cell == nil {
+			s.cell = &s.one
+		}
+		return s.start()
+	}
+}
+
+// opState is the stack's one monadic retry machine. Each forcing of its
+// node makes one nonblocking attempt. ErrWouldBlock parks on the mode's
+// ready hook (OnRecvReady, OnSendReady or OnAcceptable) and retries when
+// it fires; any other error is thrown. A partial read-full or write
+// continues at once, and a completed attempt calls the continuation
+// inside the same node. The node sequence is thus one NBIO per attempt
+// plus a Suspend per would-block. The park trace is built at the first
+// would-block and kept, and the state resets on completion, so a caller
+// that applies the machine once and re-forces its trace per message
+// allocates nothing in steady state.
+type opState struct {
+	c        *Conn
+	l        *Listener // opAccept's listener
+	accepted *Conn     // opAccept's result, read by the continuation
+	mode     opMode
+	active   bool // rest holds this entry's unsent bytes
+	cell     *[]byte
+	one      []byte    // a one-shot caller's buffer; cell points here
+	vec      iovec.Vec // WriteVM's vector, sent instead of *cell
+	rest     iovec.Vec // writes: the unsent suffix
+	total    int       // writes: the entry's length; read-full: bytes read
+	k        func(int) core.Trace
+	node     core.NBIONode
+	park     core.Trace // await(hook) resuming into node, built at first would-block
+}
+
+func (s *opState) start() core.Trace {
+	s.node.Effect = s.try
+	return &s.node
+}
+
+func (s *opState) retry(core.Unit) core.Trace { return &s.node }
+
+func (s *opState) try() core.Trace {
+	var n int
+	var err error
+	switch s.mode {
+	case opRead, opReadFull:
+		n, err = s.c.TryRead((*s.cell)[s.total:])
+	case opAccept:
+		s.accepted, err = s.l.TryAccept()
+	default:
+		if !s.active {
+			s.active, s.rest = true, s.vec
+			if s.rest.Empty() {
+				s.rest = iovec.FromBytes(*s.cell)
+			}
+			s.total = s.rest.Len()
+		}
+		n, err = s.c.tryWrite(s.rest, s.mode == opWriteCopy)
+	}
+	if errors.Is(err, ErrWouldBlock) {
+		if s.park == nil {
+			s.park = await(s.hook())(s.retry)
+		}
+		return s.park
+	}
+	if err != nil {
+		s.active, s.rest, s.total = false, iovec.Vec{}, 0
+		return &core.ThrowNode{Err: err}
+	}
+	switch s.mode {
+	case opReadFull:
+		s.total += n
+		if n > 0 && s.total < len(*s.cell) {
+			return &s.node
+		}
+		n = s.total // short at end of stream
+	case opWrite, opWriteCopy:
+		s.rest = s.rest.Drop(n)
+		if !s.rest.Empty() {
+			return &s.node
+		}
+		n = s.total
+	}
+	s.active, s.rest, s.total = false, iovec.Vec{}, 0 // reset: the trace re-enters per message
+	return s.k(n)
+}
+
+// hook reports the ready hook a would-block in this mode parks on.
+func (s *opState) hook() func(cb func()) {
+	switch s.mode {
+	case opRead, opReadFull:
+		return s.c.OnRecvReady
+	case opAccept:
+		return s.l.OnAcceptable
+	}
+	return s.c.OnSendReady
 }
 
 // ---------------------------------------------------------------------------
@@ -233,86 +319,6 @@ func (c *Conn) ReadFull(p []byte) (int, error) {
 		got += n
 	}
 	return got, nil
-}
-
-// WriteVM writes an I/O vector from a monadic thread without copying,
-// parking while the send buffer is full. The vector's storage transfers
-// to the stack and must not be mutated afterwards. It is a one-shot of
-// the WriteCellVM machine.
-func (c *Conn) WriteVM(v iovec.Vec) core.M[core.Unit] {
-	if v.Empty() {
-		return core.Skip
-	}
-	return core.Then(c.writeCell(nil, v, false), core.Skip)
-}
-
-// WriteCellVM returns a computation that, each time its trace is forced,
-// queues all of the buffer *cell holds at that moment by reference and
-// delivers the total queued. It is the stack's one monadic send retry
-// loop: flattened callers (the httpd request machine) build the M once
-// per connection and re-enter its trace once per response, so
-// steady-state sends allocate no nodes. The node sequence is one NBIO
-// attempt per partial transfer and a park plus a retry attempt per full
-// send buffer. *cell must be non-empty at entry, and its storage
-// transfers to the stack (never mutate it afterwards).
-func (c *Conn) WriteCellVM(cell *[]byte) core.M[int] {
-	return c.writeCell(cell, iovec.Vec{}, false)
-}
-
-// writeCell applies the send state machine. A nil cell sends the
-// one-shot vector one; copyPrefix copies each accepted prefix (TryWrite)
-// instead of referencing it (TryWriteV).
-func (c *Conn) writeCell(cell *[]byte, one iovec.Vec, copyPrefix bool) core.M[int] {
-	return func(k func(int) core.Trace) core.Trace {
-		s := &writeCellState{c: c, cell: cell, one: one, copy: copyPrefix, k: k}
-		s.node.Effect = s.try
-		return &s.node
-	}
-}
-
-type writeCellState struct {
-	c      *Conn
-	cell   *[]byte   // nil for a one-shot write of one
-	one    iovec.Vec // a one-shot caller's data
-	copy   bool
-	k      func(int) core.Trace
-	rest   iovec.Vec
-	total  int
-	active bool
-	node   core.NBIONode
-	park   core.Trace // await(OnSendReady) resuming into node, built when first full
-}
-
-func (s *writeCellState) retry(core.Unit) core.Trace { return &s.node }
-
-func (s *writeCellState) try() core.Trace {
-	if !s.active {
-		s.active = true
-		if s.cell != nil {
-			s.rest = iovec.FromBytes(*s.cell)
-		} else {
-			s.rest = s.one
-		}
-		s.total = s.rest.Len()
-	}
-	n, err := s.c.tryWrite(s.rest, s.copy)
-	if errors.Is(err, ErrWouldBlock) {
-		if s.park == nil {
-			s.park = await(s.c.OnSendReady)(s.retry)
-		}
-		return s.park
-	}
-	if err != nil {
-		s.active, s.rest = false, iovec.Vec{}
-		return &core.ThrowNode{Err: err}
-	}
-	s.rest = s.rest.Drop(n)
-	if !s.rest.Empty() {
-		return &s.node
-	}
-	total := s.total
-	s.active, s.rest = false, iovec.Vec{} // reset: the trace re-enters per response
-	return s.k(total)
 }
 
 // WriteV is the blocking variant of WriteVM (Stack.Go discipline applies

@@ -211,3 +211,70 @@ func TestPersistTimerUnsticksZeroWindow(t *testing.T) {
 		t.Fatalf("received %d of %d after zero-window stall", got, len(payload))
 	}
 }
+
+// Re-entering a pre-applied read-some trace allocates nothing per
+// message: neither a read that finds buffered data nor one that finds
+// the buffer empty and returns the kept park trace, which resumes into
+// the same entry node.
+func TestReadMReentryAllocs(t *testing.T) {
+	w := newWorld(t, netsim.Ethernet100(), Config{})
+	client, server := w.connectPair(t, 80)
+	// send writes n bytes from the client; they arrive in one segment.
+	send := func(n int) {
+		w.a.Go(func() {
+			if _, err := client.Write(make([]byte, n)); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	waitFor := func(ch <-chan core.Trace) core.Trace {
+		select {
+		case tr := <-ch:
+			return tr
+		case <-time.After(5 * time.Second):
+			t.Fatal("data never arrived")
+			return nil
+		}
+	}
+	const msgs = 600
+	arrived := make(chan core.Trace, 1)
+	server.OnRecvReady(func() { arrived <- nil })
+	send(msgs)
+	waitFor(arrived)
+
+	buf := make([]byte, 1)
+	var got int
+	done := &core.RetNode{}
+	entry := server.ReadM(buf)(func(n int) core.Trace { got = n; return done })
+	node := entry.(*core.NBIONode)
+	var bad bool
+	if n := testing.AllocsPerRun(msgs-1, func() {
+		if node.Effect() != done || got != 1 {
+			bad = true
+		}
+	}); n != 0 || bad {
+		t.Errorf("ready read re-entry: %v allocs per message (bad delivery: %v)", n, bad)
+	}
+
+	park := node.Effect()
+	sn, ok := park.(*core.SuspendNode)
+	if !ok {
+		t.Fatalf("read of an empty buffer returned %T, want a park", park)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if node.Effect() != park {
+			bad = true
+		}
+	}); n != 0 || bad {
+		t.Errorf("would-block re-entry: %v allocs (bad trace: %v)", n, bad)
+	}
+	resumed := make(chan core.Trace, 1)
+	sn.Park(func(next core.Trace) { resumed <- next })
+	send(1)
+	if tr := waitFor(resumed); tr != entry {
+		t.Fatalf("park resumed into %v, want the entry node", tr)
+	}
+	if node.Effect() != done || got != 1 {
+		t.Fatal("resumed read did not deliver the byte")
+	}
+}

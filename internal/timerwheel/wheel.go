@@ -142,11 +142,11 @@ type Wheel struct {
 	gran int64                // level-0 slot width, ns
 
 	mu     sync.Mutex
-	occ    [numLevels]uint64            // per-level occupancy bitmaps
-	bucket [numLevels][numSlots]*Timer  // intrusive list heads
-	live   int                          // timers currently parked in buckets
-	tick   *vclock.Timer                // armed cascade event, nil when no bucket is occupied
-	tickAt vclock.Time                  // slot start the tick is armed for
+	occ    [numLevels]uint64           // per-level occupancy bitmaps
+	bucket [numLevels][numSlots]*Timer // intrusive list heads
+	live   int                         // timers currently parked in buckets
+	tick   *vclock.Timer               // armed cascade event, nil when no bucket is occupied
+	tickAt vclock.Time                 // slot start the tick is armed for
 	stats  Stats
 }
 
@@ -200,8 +200,8 @@ func (w *Wheel) placeLocked(t *Timer, now vclock.Time) {
 	level := 0
 	for ; level < numLevels; level++ {
 		wd := w.width(level)
-		s := (when - 1) / wd      // slot covering (s*wd, (s+1)*wd]
-		c := int64(now) / wd      // slot containing now
+		s := (when - 1) / wd // slot covering (s*wd, (s+1)*wd]
+		c := int64(now) / wd // slot containing now
 		d := s - c
 		if level == 0 && d <= 0 {
 			// Due within the current slot (or already due): the tick
